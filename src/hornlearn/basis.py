@@ -11,30 +11,21 @@ implications.
 
 from __future__ import annotations
 
-from .core import HornFormula, Implication, _chain, _vars_of
+from .core import HornFormula, _chain, _quasi
 
 
 def right_saturate(formula: HornFormula) -> HornFormula:
     """Replace every consequent by the closure of its antecedent."""
-    imps = [
-        Implication(imp.antecedent, _vars_of(formula.close(a)))
-        for imp, (a, _) in zip(formula.implications, formula._pairs)
-    ]
-    return HornFormula(formula.arity, imps, formula.names)
+    pairs = [(a, formula.close(a)) for a, _ in formula._masks]
+    return HornFormula._of(formula.arity, pairs, formula.names)
 
 
 def is_right_saturated(formula: HornFormula) -> bool:
-    return all(c == formula.close(a) for a, c in formula._pairs)
+    return all(c == formula.close(a) for a, c in formula._masks)
 
 
 def is_left_saturated(formula: HornFormula) -> bool:
-    pairs = formula._pairs
-    cls = [formula.close(a) for a, _ in pairs]
-    for i, (a, _) in enumerate(pairs):
-        rest = [pairs[j] for j in range(len(pairs)) if cls[j] != cls[i]]
-        if _chain(a, rest) != a:
-            return False
-    return True
+    return all(_quasi(a, formula) == a for a, _ in formula._masks)
 
 
 def is_saturated(formula: HornFormula) -> bool:
@@ -53,39 +44,35 @@ def left_saturate(formula: HornFormula) -> HornFormula:
     """
     if not is_right_saturated(formula):
         raise ValueError("left_saturate requires a right-saturated formula")
-    pairs = [list(p) for p in formula._pairs]
+    pairs = list(formula._masks)
     while True:
-        plist = [tuple(p) for p in pairs]
-        cls = [_chain(a, plist) for a, _ in plist]
+        cls = [_chain(a, pairs) for a, _ in pairs]
         changed = False
         for i in range(len(pairs)):
             a = pairs[i][0]
-            rest = [tuple(pairs[j]) for j in range(len(pairs)) if cls[j] != cls[i]]
+            rest = [pairs[j] for j in range(len(pairs)) if cls[j] != cls[i]]
             bullet = _chain(a, rest)
             if bullet != a:
-                pairs[i][0] = bullet
-                pairs[i][1] = cls[i]  # (quasi-closure)* equals the old closure
+                # (quasi-closure)* equals the old closure
+                pairs[i] = (bullet, cls[i])
                 changed = True
         if not changed:
             break
-    imps = [Implication(_vars_of(a), _vars_of(c)) for a, c in pairs]
-    return HornFormula(formula.arity, imps, formula.names)
+    return HornFormula._of(formula.arity, pairs, formula.names)
 
 
 def remove_redundant(formula: HornFormula) -> HornFormula:
     """Drop, in list order, every implication entailed by the remaining ones."""
-    pairs = list(formula._pairs)
-    imps = list(formula.implications)
+    pairs = list(formula._masks)
     i = 0
     while i < len(pairs):
         a, c = pairs[i]
         rest = pairs[:i] + pairs[i + 1 :]
         if c & _chain(a, rest) == c:
             del pairs[i]
-            del imps[i]
         else:
             i += 1
-    return HornFormula(formula.arity, imps, formula.names)
+    return HornFormula._of(formula.arity, pairs, formula.names)
 
 
 def gd_basis(formula: HornFormula) -> HornFormula:

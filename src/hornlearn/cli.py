@@ -11,6 +11,9 @@ Subcommands::
 
 Exit codes: 0 success / equivalent, 1 semantic negative (inequivalent
 formulas, failed self-check, violated invariant), 2 usage or parse errors.
+An :class:`ArityError` is never a usage error, since the parser, the token
+lookup and the arity check of ``equiv`` reject such input first: it marks
+an internal fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import sys
 import time
 
 from .basis import gd_basis
-from .core import Assignment, HornFormula, closure, equivalent, separating_assignment
-from .formats import FormulaParseError, format_formula, parse_formula
+from .core import ArityError, HornFormula, closure, equivalent, separating_assignment
+from .formats import format_formula, parse_formula
 from .generate import GenConfig, random_formula
 from .learners import afp, clh
 from .oracles import STRATEGIES, Teacher
@@ -63,6 +66,9 @@ def cmd_closure(args) -> int:
 def cmd_equiv(args) -> int:
     f = _load(args.file1)
     g = _load(args.file2)
+    if f.arity != g.arity:
+        print(f"error: {f.arity} variables vs {g.arity}", file=sys.stderr)
+        return 2
     witness = separating_assignment(f, g)
     if witness is None:
         print("equivalent")
@@ -237,13 +243,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormulaParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ArityError:
+        raise
+    except (OSError, ValueError) as exc:  # a FormulaParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

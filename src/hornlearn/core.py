@@ -1,19 +1,23 @@
 """Core types and semantics for definite Horn formulas.
 
 Variables are integer indices ``0 .. n-1``.  A truth assignment over n
-variables is an n-bit vector; a variable set is a ``frozenset`` of indices.
-The two views are interchangeable: an assignment corresponds to the set of
-variables it maps to 1, and the subset order on variable sets coincides with
-the bitwise order on assignments.
+variables is an n-bit vector, and a variable set is the same vector read as
+the set of variables it maps to 1: the subset order on variable sets is the
+bitwise order on assignments.  Everything is stored in that form, as int bit
+masks with variable i at bit i.  Frozensets of indices appear only at the
+API edge, as read-only views built from the masks (``Implication``,
+``HornFormula.implications``, ``EntailmentClause.antecedent``).
 
 An implication ``antecedent -> consequent`` (consequent nonempty, antecedent
 possibly empty) abbreviates the conjunction of definite Horn clauses with one
-consequent variable each.  A :class:`HornFormula` is an ordered list of
-implications over a fixed arity; the empty list is the constant-true function.
+consequent variable each.  A :class:`HornFormula` is an ordered tuple of
+(antecedent, consequent) mask pairs over a fixed arity; the empty tuple is
+the constant-true function.  Inside the package, formulas and clauses are
+built from masks with ``HornFormula._of`` and ``EntailmentClause._of``.
 
-Forward chaining runs on integer bit masks internally.  The naive fixpoint
-(repeat passes until no implication fires) is used; implications that have
-fired are dropped from later passes since they stay satisfied.
+Forward chaining uses the naive fixpoint (repeat passes until no implication
+fires); implications that have fired are dropped from later passes since
+they stay satisfied.
 """
 
 from __future__ import annotations
@@ -30,24 +34,35 @@ class ArityError(ValueError):
     """An index or vector length does not fit the ambient arity."""
 
 
-def _mask_of(variables: Iterable[int], arity: int) -> int:
+def _mask_of(variables: Iterable[int]) -> int:
     mask = 0
-    for v in variables:
-        if not 0 <= v < arity:
-            raise ArityError(f"variable index {v} out of range for arity {arity}")
-        mask |= 1 << v
+    try:
+        for v in variables:
+            mask |= 1 << v
+    except ValueError:  # a negative shift count
+        raise ArityError(f"negative variable index {v}") from None
     return mask
 
 
-def _vars_of(mask: int) -> frozenset[int]:
+def _check_fits(mask: int, arity: int) -> None:
+    if mask >> arity:
+        raise ArityError(
+            f"variable index {mask.bit_length() - 1} out of range for arity {arity}"
+        )
+
+
+def _bit_list(mask: int) -> list[int]:
+    """The indices of the set bits, ascending."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _low_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def _chain(mask: int, pairs: Sequence[tuple[int, int]]) -> int:
@@ -103,17 +118,13 @@ class Assignment:
 
     @classmethod
     def from_vars(cls, variables: Iterable[int], n: int) -> "Assignment":
-        return cls(_mask_of(variables, n), n)
+        return cls(_mask_of(variables), n)
 
     @classmethod
     def from_string(cls, bits: str) -> "Assignment":
         if set(bits) - {"0", "1"}:
             raise ValueError(f"not a bit string: {bits!r}")
-        mask = 0
-        for i, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << i
-        return cls(mask, len(bits))
+        return cls(_mask_of(i for i, ch in enumerate(bits) if ch == "1"), len(bits))
 
     @classmethod
     def zero(cls, n: int) -> "Assignment":
@@ -157,7 +168,7 @@ class Assignment:
         return tuple((self.mask >> i) & 1 for i in range(self.n))
 
     def ones(self) -> frozenset[int]:
-        return _vars_of(self.mask)
+        return frozenset(_bit_list(self.mask))
 
     @property
     def count(self) -> int:
@@ -191,59 +202,100 @@ class Implication:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EntailmentClause:
-    """A definite clause `antecedent -> head` with a single head variable."""
+    """A definite clause `antecedent -> head` with a single head variable;
+    the antecedent is stored as a bit mask and read as a frozenset view."""
 
-    antecedent: frozenset[int]
+    _mask: int
     head: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "antecedent", frozenset(self.antecedent))
-        if self.head < 0:
-            raise ArityError(f"negative variable index {self.head}")
+    def __init__(self, antecedent: Iterable[int], head: int) -> None:
+        self._set(_mask_of(antecedent), head)
+
+    @classmethod
+    def _of(cls, mask: int, head: int) -> "EntailmentClause":
+        clause = cls.__new__(cls)
+        clause._set(mask, head)
+        return clause
+
+    def _set(self, mask: int, head: int) -> None:
+        if head < 0:
+            raise ArityError(f"negative variable index {head}")
+        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "head", head)
+
+    @property
+    def antecedent(self) -> frozenset[int]:
+        return frozenset(_bit_list(self._mask))
 
     def __str__(self) -> str:
-        ant = " ".join(map(str, sorted(self.antecedent)))
+        ant = " ".join(map(str, _bit_list(self._mask)))
         return f"{ant} -> {self.head}".strip()
 
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HornFormula:
     """An ordered conjunction of implications over `arity` variables.
 
-    The name table is presentation only: it is excluded from equality and
-    hashing, so formulas compare by arity and implication list.
+    Stored as `_masks`, (antecedent, consequent) bit-mask pairs, and read
+    through `implications`, a view built on first use (or kept from the
+    constructor's Implication values).  The name table is presentation only:
+    it is excluded from equality and hashing, so formulas compare by arity
+    and implication list.
     """
 
     arity: int
-    implications: tuple[Implication, ...]
+    _masks: tuple[tuple[int, int], ...]
     names: tuple[str, ...] | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ArityError(f"negative arity {self.arity}")
-        object.__setattr__(self, "implications", tuple(self.implications))
-        if self.names is not None:
-            names = tuple(self.names)
-            if len(names) != self.arity:
-                raise ValueError(f"{len(names)} names for arity {self.arity}")
-            object.__setattr__(self, "names", names)
-        for imp in self.implications:
-            for v in imp.antecedent | imp.consequent:
-                if not 0 <= v < self.arity:
-                    raise ArityError(
-                        f"variable index {v} out of range for arity {self.arity}"
-                    )
+    def __init__(
+        self,
+        arity: int,
+        implications: Iterable[Implication],
+        names: Sequence[str] | None = None,
+    ) -> None:
+        implications = tuple(implications)
+        self._set(
+            arity,
+            [(_mask_of(i.antecedent), _mask_of(i.consequent)) for i in implications],
+            names,
+        )
+        object.__setattr__(self, "implications", implications)
+
+    @classmethod
+    def _of(
+        cls,
+        arity: int,
+        masks: Iterable[tuple[int, int]],
+        names: Sequence[str] | None = None,
+    ) -> "HornFormula":
+        """The formula with the given (antecedent, consequent) mask pairs."""
+        formula = cls.__new__(cls)
+        formula._set(arity, masks, names)
+        return formula
+
+    def _set(self, arity, masks, names) -> None:
+        if arity < 0:
+            raise ArityError(f"negative arity {arity}")
+        masks = tuple(masks)
+        used = 0
+        for a, c in masks:
+            used |= a | c
+        _check_fits(used, arity)
+        if names is not None:
+            names = tuple(names)
+            if len(names) != arity:
+                raise ValueError(f"{len(names)} names for arity {arity}")
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "names", names)
 
     @cached_property
-    def _pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (_mask_of(i.antecedent, self.arity), _mask_of(i.consequent, self.arity))
-            for i in self.implications
-        )
+    def implications(self) -> tuple[Implication, ...]:
+        return tuple(Implication(_bit_list(a), _bit_list(c)) for a, c in self._masks)
 
     @cached_property
     def _closure_cache(self) -> dict[int, int]:
@@ -254,22 +306,19 @@ class HornFormula:
         cache = self._closure_cache
         out = cache.get(mask)
         if out is None:
-            out = cache[mask] = _chain(mask, self._pairs)
+            out = cache[mask] = _chain(mask, self._masks)
         return out
 
     def __len__(self) -> int:
-        return len(self.implications)
+        return len(self._masks)
 
     def __str__(self) -> str:
         names = self.names or default_names(self.arity)
 
-        def term(vs: frozenset[int]) -> str:
-            return " ".join(names[i] for i in sorted(vs))
+        def term(mask: int) -> str:
+            return " ".join(names[i] for i in _bit_list(mask))
 
-        body = ", ".join(
-            f"{term(i.antecedent)} -> {term(i.consequent)}".strip()
-            for i in self.implications
-        )
+        body = ", ".join(f"{term(a)} -> {term(c)}".strip() for a, c in self._masks)
         return "{" + body + "}"
 
     def __repr__(self) -> str:
@@ -283,26 +332,26 @@ def _check_same_arity(f: HornFormula, g: HornFormula) -> None:
 
 def closure(start: Iterable[int], formula: HornFormula) -> frozenset[int]:
     """The least superset of `start` stable under the formula's implications."""
-    return _vars_of(formula.close(_mask_of(start, formula.arity)))
+    mask = Assignment.from_vars(start, formula.arity).mask
+    return frozenset(_bit_list(formula.close(mask)))
 
 
 def subformula_same_class(start: Iterable[int], formula: HornFormula) -> HornFormula:
     """Implications whose antecedent has the same closure as `start`, in order."""
-    target = formula.close(_mask_of(start, formula.arity))
-    keep = [
-        imp
-        for imp, (a, _) in zip(formula.implications, formula._pairs)
-        if formula.close(a) == target
-    ]
-    return HornFormula(formula.arity, keep, formula.names)
+    target = formula.close(Assignment.from_vars(start, formula.arity).mask)
+    keep = [p for p in formula._masks if formula.close(p[0]) == target]
+    return HornFormula._of(formula.arity, keep, formula.names)
+
+
+def _quasi(mask: int, formula: HornFormula) -> int:
+    cls = formula.close(mask)
+    return _chain(mask, [p for p in formula._masks if formula.close(p[0]) != cls])
 
 
 def quasi_closure(start: Iterable[int], formula: HornFormula) -> frozenset[int]:
     """Closure of `start` with the implications of its own class removed."""
-    mask = _mask_of(start, formula.arity)
-    cls = formula.close(mask)
-    rest = [p for p in formula._pairs if formula.close(p[0]) != cls]
-    return _vars_of(_chain(mask, rest))
+    mask = Assignment.from_vars(start, formula.arity).mask
+    return frozenset(_bit_list(_quasi(mask, formula)))
 
 
 def satisfies(x: Assignment, formula: HornFormula) -> bool:
@@ -310,7 +359,7 @@ def satisfies(x: Assignment, formula: HornFormula) -> bool:
     if x.n != formula.arity:
         raise ArityError(f"assignment length {x.n} vs arity {formula.arity}")
     m = x.mask
-    for a, c in formula._pairs:
+    for a, c in formula._masks:
         if a & m == a and c & m != c:
             return False
     return True
@@ -318,17 +367,13 @@ def satisfies(x: Assignment, formula: HornFormula) -> bool:
 
 def entails(formula: HornFormula, clause: EntailmentClause) -> bool:
     """True iff the clause head lies in the closure of its antecedent."""
-    mask = _mask_of(clause.antecedent, formula.arity)
-    if not clause.head < formula.arity:
-        raise ArityError(
-            f"variable index {clause.head} out of range for arity {formula.arity}"
-        )
-    return bool(formula.close(mask) >> clause.head & 1)
+    _check_fits(clause._mask | 1 << clause.head, formula.arity)
+    return bool(formula.close(clause._mask) >> clause.head & 1)
 
 
 def _covers(f: HornFormula, g: HornFormula) -> bool:
     # every implication of g follows from f
-    return all(c & f.close(a) == c for a, c in g._pairs)
+    return all(c & f.close(a) == c for a, c in g._masks)
 
 
 def equivalent(f: HornFormula, g: HornFormula) -> bool:
@@ -345,11 +390,11 @@ def separating_assignment(f: HornFormula, g: HornFormula) -> Assignment | None:
     so the scan below is complete.
     """
     _check_same_arity(f, g)
-    for a, c in f._pairs:
+    for a, c in f._masks:
         w = g.close(a)
         if c & w != c:
             return Assignment(w, f.arity)
-    for a, c in g._pairs:
+    for a, c in g._masks:
         w = f.close(a)
         if c & w != c:
             return Assignment(w, f.arity)
@@ -364,7 +409,7 @@ def models(formula: HornFormula, limit: int = DEFAULT_MODEL_LIMIT) -> list[Assig
     n = formula.arity
     if n > limit:
         raise ValueError(f"arity {n} above brute-force limit {limit}")
-    pairs = formula._pairs
+    pairs = formula._masks
     found = []
     for mask in range(1 << n):
         for a, c in pairs:

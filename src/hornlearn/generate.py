@@ -6,9 +6,8 @@ import random
 from dataclasses import dataclass
 
 from .core import HornFormula, Implication
-from .oracles import family_member
 
-__all__ = ["GenConfig", "random_formula", "example_corpus", "family_member"]
+__all__ = ["GenConfig", "random_formula", "example_corpus"]
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ def example_corpus() -> dict[str, HornFormula]:
       where the closure of {a,c} is {a,b,c,d} but its quasi-closure is only
       {a,c,d}.
 
-    Unknown names raise KeyError.  The two-model family constructor is
-    re-exported as :func:`family_member`.
+    Unknown names raise KeyError.
     """
     return {
         "gd-example": HornFormula(

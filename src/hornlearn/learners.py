@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Assignment, HornFormula, Implication, _vars_of, satisfies
+from .core import Assignment, HornFormula, satisfies
 from .oracles import QueryStats
 
 
@@ -58,11 +58,11 @@ def hyp(
         raise ValueError(
             f"closure memo has {len(closures)} entries for {len(negatives)} examples"
         )
-    imps = [Implication(y.ones(), z.ones()) for y, z in zip(negatives, closures)]
-    return HornFormula(arity, imps)
+    pairs = [(y.mask, z.mask) for y, z in zip(negatives, closures)]
+    return HornFormula._of(arity, pairs)
 
 
-def clh(teacher, refine_all: bool = False) -> LearnerReport:
+def clh(teacher) -> LearnerReport:
     """Learn a definite Horn target from closure and equivalence queries.
 
     Keeps a list N of negative examples with memoized closures.  On a
@@ -72,9 +72,7 @@ def clh(teacher, refine_all: bool = False) -> LearnerReport:
 
     Counterexamples must be negative (the hypothesis is always entailed by
     the target); receiving a positive one means the teacher is broken and
-    raises :class:`ProtocolError`.  `refine_all=True` keeps scanning after a
-    refinement instead of stopping at the first; only the default variant
-    carries the correctness guarantee.
+    raises :class:`ProtocolError`.
     """
     n = teacher.arity
     negatives: list[Assignment] = []
@@ -95,7 +93,6 @@ def clh(teacher, refine_all: bool = False) -> LearnerReport:
                 f"positive counterexample {x}: the hypothesis is entailed by the "
                 "target, so every counterexample must satisfy the hypothesis"
             )
-        refined = False
         for i, y_i in enumerate(negatives):
             y = x & y_i
             if y < y_i:
@@ -104,10 +101,8 @@ def clh(teacher, refine_all: bool = False) -> LearnerReport:
                     negatives[i] = y
                     closures[i] = closed
                     trace.append(TraceEvent("refine", i, current, x))
-                    refined = True
-                    if not refine_all:
-                        break
-        if not refined:
+                    break
+        else:
             negatives.append(x)
             closures.append(teacher.cq(x))
             trace.append(TraceEvent("append", len(negatives) - 1, current, x))
@@ -143,12 +138,8 @@ def afp(teacher) -> LearnerReport:
         return c
 
     while True:
-        current = HornFormula(
-            n,
-            [
-                Implication(y.ones(), _vars_of(c))
-                for y, c in zip(entries, consequents)
-            ],
+        current = HornFormula._of(
+            n, [(y.mask, c) for y, c in zip(entries, consequents)]
         )
         answer = teacher.seq(current)
         if answer.is_yes:
@@ -156,16 +147,14 @@ def afp(teacher) -> LearnerReport:
         x = answer.counterexample
         if satisfies(x, current):
             # satisfies the hypothesis, hence falsifies the target: negative
-            refined = False
             for i, y_i in enumerate(entries):
                 y = x & y_i
                 if y < y_i and not teacher.smq(y):
                     entries[i] = y
                     consequents[i] = strongest_consequent(y)
                     trace.append(TraceEvent("refine", i, current, x))
-                    refined = True
                     break
-            if not refined:
+            else:
                 entries.append(x)
                 consequents.append(strongest_consequent(x))
                 trace.append(TraceEvent("append", len(entries) - 1, current, x))

@@ -28,8 +28,9 @@ from .core import (
     Assignment,
     EntailmentClause,
     HornFormula,
-    Implication,
-    _vars_of,
+    _bit_list,
+    _lex_key,
+    _low_bit,
     entails,
     satisfies,
     separating_assignment,
@@ -161,12 +162,12 @@ class Teacher:
             return separating_assignment(self.target, hyp)
         n = self.target.arity
         negatives = [
-            hyp.close(a) for a, c in self.target._pairs if c & hyp.close(a) != c
+            hyp.close(a) for a, c in self.target._masks if c & hyp.close(a) != c
         ]
         if negatives:
             return Assignment(self._pick_mask(negatives), n)
         positives = [
-            self.target.close(a) for a, c in hyp._pairs if c & self.target.close(a) != c
+            self.target.close(a) for a, c in hyp._masks if c & self.target.close(a) != c
         ]
         if positives:
             return Assignment(self._pick_mask(positives), n)
@@ -180,7 +181,7 @@ class Teacher:
             # implication's antecedent, so the bitwise-minimal ones are
             # minimal elements of the candidate closures themselves
             n = self.target.arity
-            return min(candidates, key=lambda m: (m.bit_count(), _lex(m, n)))
+            return min(candidates, key=lambda m: (m.bit_count(), _lex_key(m, n)))
         return candidates[0]
 
     def _clause_counterexample(self, hyp: HornFormula) -> EntailmentClause | None:
@@ -192,16 +193,15 @@ class Teacher:
         )
         for holder, other in sides:
             found: list[tuple[int, int]] = []
-            for a, c in holder._pairs:
+            for a, c in holder._masks:
                 gap = c & ~other.close(a)
                 if gap:
                     if self.strategy == "first":
-                        return EntailmentClause(_vars_of(a), _low_bit(gap))
+                        return EntailmentClause._of(a, _low_bit(gap))
                     found.append((a, gap))
             if found:
                 a, gap = self._rng.choice(found)
-                head = self._rng.choice(_bit_list(gap))
-                return EntailmentClause(_vars_of(a), head)
+                return EntailmentClause._of(a, self._rng.choice(_bit_list(gap)))
         return None
 
     def _minimal_clause(self, hyp: HornFormula) -> EntailmentClause | None:
@@ -209,35 +209,11 @@ class Teacher:
         n = self.target.arity
         for size in range(n + 1):
             for combo in itertools.combinations(range(n), size):
-                mask = 0
-                for v in combo:
-                    mask |= 1 << v
+                mask = sum(1 << v for v in combo)
                 gap = self.target.close(mask) ^ hyp.close(mask)
                 if gap:
-                    return EntailmentClause(frozenset(combo), _low_bit(gap))
+                    return EntailmentClause._of(mask, _low_bit(gap))
         return None
-
-
-def _low_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _bit_list(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
-
-def _lex(mask: int, n: int) -> int:
-    key = 0
-    for i in range(n):
-        key = (key << 1) | ((mask >> i) & 1)
-    return key
 
 
 class AdversarialSmqTeacher:
@@ -286,9 +262,9 @@ def family_member(x: Assignment) -> HornFormula:
     formula would need just one model.
     """
     n = x.n
-    if x.mask == (1 << n) - 1:
+    full = (1 << n) - 1
+    if x.mask == full:
         raise ValueError("no two-model formula exists for the all-ones assignment")
-    everything = frozenset(range(n))
-    imps = [Implication(frozenset(), frozenset({v})) for v in sorted(x.ones())]
-    imps += [Implication(frozenset({w}), everything) for w in range(n) if not x.bit(w)]
-    return HornFormula(n, imps)
+    pairs = [(0, 1 << v) for v in _bit_list(x.mask)]
+    pairs += [(1 << w, full) for w in _bit_list(full & ~x.mask)]
+    return HornFormula._of(n, pairs)

@@ -29,7 +29,14 @@ import random
 import weakref
 from dataclasses import dataclass, field
 
-from .core import ArityError, Assignment, EntailmentClause, HornFormula
+from .core import (
+    ArityError,
+    Assignment,
+    EntailmentClause,
+    HornFormula,
+    _lex_key,
+    _low_bit,
+)
 from .learners import afp
 from .oracles import AdversarialSmqTeacher, EeqAnswer, SeqAnswer
 
@@ -39,10 +46,9 @@ def cq_from_emq(teacher, y: Assignment) -> Assignment:
     n = teacher.arity
     if y.n != n:
         raise ArityError(f"assignment length {y.n} vs arity {n}")
-    ones = y.ones()
     mask = y.mask
     for b in range(n):
-        if not mask >> b & 1 and teacher.emq(EntailmentClause(ones, b)):
+        if not mask >> b & 1 and teacher.emq(EntailmentClause._of(y.mask, b)):
             mask |= 1 << b
     return Assignment(mask, n)
 
@@ -53,9 +59,8 @@ def smq_from_emq(teacher, x: Assignment) -> bool:
     n = teacher.arity
     if x.n != n:
         raise ArityError(f"assignment length {x.n} vs arity {n}")
-    ones = x.ones()
     for b in range(n):
-        if not x.mask >> b & 1 and teacher.emq(EntailmentClause(ones, b)):
+        if not x.mask >> b & 1 and teacher.emq(EntailmentClause._of(x.mask, b)):
             return False
     return True
 
@@ -73,7 +78,7 @@ def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> SeqAnswer:
         return SeqAnswer(None)
     clause = answer.counterexample
     n = hypothesis.arity
-    start = Assignment.from_vars(clause.antecedent, n)
+    start = Assignment(clause._mask, n)
     under_hyp = hypothesis.close(start.mask)
     if under_hyp >> clause.head & 1:
         # entailed by the hypothesis, not the target
@@ -84,8 +89,8 @@ def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> SeqAnswer:
 def emq_from_cq(teacher, clause: EntailmentClause) -> bool:
     """Entailment membership from a single closure query."""
     n = teacher.arity
-    closed = teacher.cq(Assignment.from_vars(clause.antecedent, n))
-    return clause.head in closed.ones()
+    closed = teacher.cq(Assignment(clause._mask, n))
+    return bool(closed.mask >> clause.head & 1)
 
 
 def smq_from_cq(teacher, x: Assignment) -> bool:
@@ -110,8 +115,7 @@ def eeq_from_seq_cq(teacher, hypothesis: HornFormula) -> EeqAnswer:
         gained = closed.mask & ~x.mask
     else:
         gained = hypothesis.close(x.mask) & ~x.mask
-    head = (gained & -gained).bit_length() - 1
-    return EeqAnswer(EntailmentClause(x.ones(), head))
+    return EeqAnswer(EntailmentClause._of(x.mask, _low_bit(gained)))
 
 
 _LEARNED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -294,13 +298,6 @@ def lower_bound_demo(
         determined=adversary.remaining_candidates == 1,
         invariant_held=invariant_held,
     )
-
-
-def _lex_key(mask: int, n: int) -> int:
-    key = 0
-    for i in range(n):
-        key = (key << 1) | ((mask >> i) & 1)
-    return key
 
 
 __all__ = [

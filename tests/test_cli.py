@@ -130,6 +130,14 @@ class TestCommands:
         assert main(["equiv", str(p1), str(p2)]) == 1
         assert "not equivalent" in capsys.readouterr().out
 
+    def test_equiv_mixed_arities_is_a_usage_error(self, tmp_path, capsys):
+        p1 = tmp_path / "one.horn"
+        p2 = tmp_path / "two.horn"
+        p1.write_text("vars: a b\na -> b\n")
+        p2.write_text("vars: a b c\na -> b\n")
+        assert main(["equiv", str(p1), str(p2)]) == 2
+        assert "2 variables vs 3" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.horn"
         bad.write_text("vars: a b\na -> z\n")
@@ -138,6 +146,16 @@ class TestCommands:
 
     def test_missing_file(self, capsys):
         assert main(["gd", "/nonexistent/x.horn"]) == 2
+
+    def test_internal_arity_error_is_not_a_usage_error(self, bullet_file, monkeypatch):
+        from hornlearn import ArityError, cli
+
+        def broken(formula):
+            raise ArityError("variable index 9 out of range for arity 4")
+
+        monkeypatch.setattr(cli, "gd_basis", broken)
+        with pytest.raises(ArityError):
+            main(["gd", bullet_file])
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -1,7 +1,8 @@
 import pytest
 
 from hornlearn import GenConfig, equivalent, gd_basis, random_formula
-from hornlearn.generate import example_corpus, family_member
+from hornlearn.generate import example_corpus
+from hornlearn.oracles import family_member
 
 from helpers import brute_equivalent, vs
 

@@ -154,20 +154,6 @@ class TestClh:
         with pytest.raises(ProtocolError, match="positive counterexample"):
             clh(LyingTeacher())
 
-    def test_refine_all_variant_terminates_soundly(self):
-        from hornlearn import closure
-
-        rng = random.Random(73)
-        for _ in range(20):
-            target = random_target(rng, n_hi=8)
-            report = clh(Teacher(target), refine_all=True)
-            # hypotheses are built from genuine closures, so every output
-            # implication is entailed by the target even for this variant
-            for implication in report.output.implications:
-                assert implication.consequent <= closure(
-                    implication.antecedent, target
-                )
-
 
 class TestAfp:
     def test_trivial_target(self):

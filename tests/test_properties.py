@@ -1,0 +1,272 @@
+"""Property tests against the brute-force oracles in ``helpers``.
+
+Hypothesis draws small formulas (arity at most 6, so 2**n stays tiny) and
+every property is checked against ground truth that never runs the
+library's forward chaining.  The settings are derandomized: a failure
+reproduces on every run, and the suite costs a few seconds.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hornlearn import (
+    ArityError,
+    Assignment,
+    ClosureFromEntailment,
+    EntailmentClause,
+    HornFormula,
+    Implication,
+    StandardFromClosure,
+    Teacher,
+    afp,
+    clh,
+    closure,
+    entails,
+    format_formula,
+    gd_basis,
+    left_saturate,
+    models,
+    parse_formula,
+    quasi_closure,
+    remove_redundant,
+    right_saturate,
+)
+
+from helpers import brute_closure_mask, brute_equivalent, brute_model_masks
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+MAX_ARITY = 6
+
+
+def _subset(n: int, min_size: int = 0):
+    if not n:
+        return st.just(frozenset())
+    return st.frozensets(st.integers(0, n - 1), min_size=min_size)
+
+
+@st.composite
+def implications(draw, n: int):
+    return Implication(draw(_subset(n)), draw(_subset(n, min_size=1)))
+
+
+@st.composite
+def formulas(draw, max_arity: int = MAX_ARITY, max_size: int = 8):
+    n = draw(st.integers(0, max_arity))
+    imps = draw(st.lists(implications(n), max_size=max_size)) if n else []
+    return HornFormula(n, imps)
+
+
+@st.composite
+def formula_and_start(draw):
+    f = draw(formulas(max_arity=MAX_ARITY))
+    return f, draw(_subset(f.arity))
+
+
+def _mask(variables) -> int:
+    return sum(1 << v for v in variables)
+
+
+def _set(mask: int) -> frozenset[int]:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _brute_closure(start, f: HornFormula) -> frozenset[int]:
+    return _set(brute_closure_mask(_mask(start), f))
+
+
+def _brute_quasi_closure(start, f: HornFormula) -> frozenset[int]:
+    target = _brute_closure(start, f)
+    rest = [i for i in f.implications if _brute_closure(i.antecedent, f) != target]
+    return _brute_closure(start, HornFormula(f.arity, rest))
+
+
+def _pseudo_closed_basis(f: HornFormula) -> frozenset[Implication]:
+    """The Guigues-Duquenne basis from its definition: P -> closure(P) for
+    every pseudo-closed P (not closed, and containing the closure of every
+    pseudo-closed proper subset), found by enumerating all variable sets in
+    order of size."""
+    n = f.arity
+    closed = [brute_closure_mask(mask, f) for mask in range(1 << n)]
+    pseudo: list[int] = []
+    for mask in sorted(range(1 << n), key=int.bit_count):
+        if closed[mask] == mask:
+            continue
+        if all(
+            closed[q] & mask == closed[q]
+            for q in pseudo
+            if q & mask == q and q != mask
+        ):
+            pseudo.append(mask)
+    return frozenset(Implication(_set(p), _set(closed[p])) for p in pseudo)
+
+
+class TestClosure:
+    @PROPERTY
+    @given(formula_and_start())
+    def test_closure_is_the_meet_of_the_models_above(self, case):
+        f, start = case
+        assert closure(start, f) == _brute_closure(start, f)
+
+    @PROPERTY
+    @given(formula_and_start())
+    def test_quasi_closure_drops_the_class_of_the_start(self, case):
+        f, start = case
+        assert quasi_closure(start, f) == _brute_quasi_closure(start, f)
+
+    @PROPERTY
+    @given(formulas())
+    def test_models_are_the_brute_force_models(self, f):
+        assert sorted(x.mask for x in models(f)) == brute_model_masks(f)
+
+
+class TestGdBasis:
+    @PROPERTY
+    @given(formulas())
+    def test_saturation_stages_meet_their_definitions(self, f):
+        right = right_saturate(f)
+        for i in right.implications:
+            assert i.consequent == _brute_closure(i.antecedent, f)
+        left = left_saturate(right)
+        for i in left.implications:
+            assert i.antecedent == _brute_quasi_closure(i.antecedent, left)
+            assert i.consequent == _brute_closure(i.antecedent, f)
+
+    @PROPERTY
+    @given(formulas(), st.randoms(use_true_random=False))
+    def test_canonical_under_shuffles_duplicates_and_tautologies(self, f, rng):
+        expected = frozenset(gd_basis(f).implications)
+        imps = list(f.implications)
+        imps += imps[:2]  # duplicates
+        imps += [  # tautologies: the consequent lies inside the antecedent
+            Implication(i.antecedent | i.consequent, i.consequent) for i in imps[:2]
+        ]
+        rng.shuffle(imps)
+        noisy = HornFormula(f.arity, imps)
+        assert frozenset(gd_basis(noisy).implications) == expected
+
+    @PROPERTY
+    @given(formulas())
+    def test_equals_the_pseudo_closed_basis(self, f):
+        basis = gd_basis(f)
+        assert frozenset(basis.implications) == _pseudo_closed_basis(f)
+        assert len(set(basis.implications)) == len(basis)
+        assert brute_equivalent(basis, f)
+
+    @PROPERTY
+    @given(formulas())
+    def test_no_implication_is_redundant(self, f):
+        basis = gd_basis(f)
+        assert remove_redundant(basis) == basis
+        for i in range(len(basis)):
+            rest = basis.implications[:i] + basis.implications[i + 1 :]
+            assert not brute_equivalent(HornFormula(f.arity, rest), basis)
+
+
+def _teacher(f: HornFormula, strategy: str, seed: int) -> Teacher:
+    return Teacher(f, strategy=strategy, seed=seed if strategy == "random" else None)
+
+
+class TestLearners:
+    @PROPERTY
+    @given(
+        formulas(),
+        st.sampled_from(["first", "random", "minimal"]),
+        st.integers(0, 2**16),
+    )
+    def test_clh_outputs_the_gd_basis(self, f, strategy, seed):
+        expected = frozenset(gd_basis(f).implications)
+        for teacher in (
+            _teacher(f, strategy, seed),
+            ClosureFromEntailment(_teacher(f, strategy, seed)),
+        ):
+            assert frozenset(clh(teacher).output.implications) == expected
+
+    @PROPERTY
+    @given(
+        formulas(),
+        st.sampled_from(["first", "random", "minimal"]),
+        st.integers(0, 2**16),
+    )
+    def test_afp_output_is_equivalent(self, f, strategy, seed):
+        for teacher in (
+            _teacher(f, strategy, seed),
+            StandardFromClosure(_teacher(f, strategy, seed)),
+        ):
+            assert brute_equivalent(afp(teacher).output, f)
+
+
+class TestRepresentation:
+    @PROPERTY
+    @given(formulas(max_arity=30))
+    def test_format_parse_round_trip(self, f):
+        assert parse_formula(format_formula(f)) == f
+
+    @PROPERTY
+    @given(formulas(max_arity=30))
+    def test_rebuilt_from_implications(self, f):
+        # gd_basis builds its output from masks, so its view is derived
+        for g in (f, gd_basis(f)):
+            rebuilt = HornFormula(g.arity, g.implications)
+            assert rebuilt == g
+            assert hash(rebuilt) == hash(g)
+
+    @PROPERTY
+    @given(formula_and_start())
+    def test_pickle_round_trip(self, case):
+        f, start = case
+        closure(start, f)  # fills the closure memo, which travels too
+        basis = gd_basis(f)
+        values = [f, basis, *basis.implications]
+        if f.arity:
+            values.append(EntailmentClause(start, f.arity - 1))
+        for value in values:
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value
+            assert hash(copy) == hash(value)
+            assert str(copy) == str(value)
+        copy = pickle.loads(pickle.dumps(f))
+        assert closure(start, copy) == closure(start, f)
+
+
+class TestEdgeShapes:
+    def test_arity_zero(self):
+        f = HornFormula(0, [])
+        assert models(f) == [Assignment(0, 0)]
+        assert closure(frozenset(), f) == frozenset()
+        assert gd_basis(f) == f
+        report = clh(Teacher(f))
+        assert report.output == f
+        assert report.stats.seq == 1
+        assert afp(Teacher(f)).output == f
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_empty_formula(self, n):
+        f = HornFormula(n, [])
+        assert len(models(f)) == 1 << n
+        assert closure(frozenset(), f) == frozenset()
+        assert gd_basis(f) == f
+        assert clh(Teacher(f)).output == f
+        assert afp(Teacher(f)).output == f
+
+    def test_negative_index_raises_arity_error(self):
+        f = HornFormula(3, [Implication(frozenset({0}), frozenset({1}))])
+        with pytest.raises(ArityError):
+            HornFormula(3, [Implication(frozenset({-1}), frozenset({0}))])
+        with pytest.raises(ArityError):
+            HornFormula(3, [Implication(frozenset({0}), frozenset({-2}))])
+        with pytest.raises(ArityError):
+            closure({-1}, f)
+        with pytest.raises(ArityError):
+            quasi_closure({-1}, f)
+        with pytest.raises(ArityError):
+            Assignment.from_vars({-1}, 3)
+        with pytest.raises(ArityError):
+            EntailmentClause(frozenset({0}), -1)
+        with pytest.raises(ArityError):
+            entails(f, EntailmentClause(frozenset({-1}), 0))
