@@ -35,29 +35,24 @@ def is_saturated(formula: HornFormula) -> bool:
 def left_saturate(formula: HornFormula) -> HornFormula:
     """Replace every antecedent by its quasi-closure, iterating to a fixpoint.
 
-    Requires a right-saturated input.  Each pass recomputes the antecedent
-    closures (the implication classes) and rewrites antecedents one at a
-    time, chaining over the already-updated implication list.  A rewrite
-    preserves the represented function, so the closures taken at the start
-    of a pass stay valid throughout it.  Consequents are re-closed on
-    rewrite, which keeps the formula right-saturated.
+    Requires a right-saturated input, so each implication's consequent is its
+    class (the closure of its antecedent).  Passes rewrite antecedents one at
+    a time, chaining over the already-updated implications of other classes.
+    A rewrite keeps the represented function and the closure of the
+    antecedent ((quasi-closure)* equals the old closure), so consequents stay
+    the classes and the formula stays right-saturated.
     """
     if not is_right_saturated(formula):
         raise ValueError("left_saturate requires a right-saturated formula")
     pairs = list(formula._masks)
-    while True:
-        cls = [_chain(a, pairs) for a, _ in pairs]
+    changed = True
+    while changed:
         changed = False
-        for i in range(len(pairs)):
-            a = pairs[i][0]
-            rest = [pairs[j] for j in range(len(pairs)) if cls[j] != cls[i]]
-            bullet = _chain(a, rest)
+        for i, (a, c) in enumerate(pairs):
+            bullet = _chain(a, [p for p in pairs if p[1] != c])
             if bullet != a:
-                # (quasi-closure)* equals the old closure
-                pairs[i] = (bullet, cls[i])
+                pairs[i] = (bullet, c)
                 changed = True
-        if not changed:
-            break
     return HornFormula._of(formula.arity, pairs, formula.names)
 
 

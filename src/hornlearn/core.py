@@ -25,9 +25,13 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_MODEL_LIMIT = 20
+
+# a formula's closure memo is cleared when it reaches this many entries
+CLOSURE_MEMO_LIMIT = 1 << 16
 
 
 class ArityError(ValueError):
@@ -244,7 +248,8 @@ class HornFormula:
     through `implications`, a view built on first use (or kept from the
     constructor's Implication values).  The name table is presentation only:
     it is excluded from equality and hashing, so formulas compare by arity
-    and implication list.
+    and implication list.  Pickles and copies carry the masks and names
+    only, not the cached view or the closure memo.
     """
 
     arity: int
@@ -293,6 +298,9 @@ class HornFormula:
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "names", names)
 
+    def __reduce__(self):
+        return HornFormula._of, (self.arity, self._masks, self.names)
+
     @cached_property
     def implications(self) -> tuple[Implication, ...]:
         return tuple(Implication(_bit_list(a), _bit_list(c)) for a, c in self._masks)
@@ -306,6 +314,8 @@ class HornFormula:
         cache = self._closure_cache
         out = cache.get(mask)
         if out is None:
+            if len(cache) >= CLOSURE_MEMO_LIMIT:
+                cache.clear()
             out = cache[mask] = _chain(mask, self._masks)
         return out
 
@@ -371,33 +381,33 @@ def entails(formula: HornFormula, clause: EntailmentClause) -> bool:
     return bool(formula.close(clause._mask) >> clause.head & 1)
 
 
-def _covers(f: HornFormula, g: HornFormula) -> bool:
-    # every implication of g follows from f
-    return all(c & f.close(a) == c for a, c in g._masks)
+def _gaps(f: HornFormula, g: HornFormula) -> Iterator[tuple[int, int, int]]:
+    """`(a, w, c & ~w)` with `w = g.close(a)`, lazily and in list order, for
+    each implication `a -> c` of `f` that `g` does not entail.
+
+    Each such `w` satisfies `g` and falsifies `f`; `f` and `g` are
+    equivalent iff neither `_gaps(f, g)` nor `_gaps(g, f)` yields anything.
+    """
+    for a, c in f._masks:
+        w = g.close(a)
+        gap = c & ~w
+        if gap:
+            yield a, w, gap
 
 
 def equivalent(f: HornFormula, g: HornFormula) -> bool:
     """Semantic equivalence, decided by mutual entailment of implications."""
-    _check_same_arity(f, g)
-    return _covers(f, g) and _covers(g, f)
+    return separating_assignment(f, g) is None
 
 
 def separating_assignment(f: HornFormula, g: HornFormula) -> Assignment | None:
     """An assignment satisfying exactly one of `f`, `g`; None if equivalent.
 
-    When an implication of `f` is not entailed by `g`, the closure of its
-    antecedent under `g` satisfies `g` and falsifies `f` (and symmetrically),
-    so the scan below is complete.
+    The first witness of `_gaps(f, g)`, else of `_gaps(g, f)`.
     """
     _check_same_arity(f, g)
-    for a, c in f._masks:
-        w = g.close(a)
-        if c & w != c:
-            return Assignment(w, f.arity)
-    for a, c in g._masks:
-        w = f.close(a)
-        if c & w != c:
-            return Assignment(w, f.arity)
+    for _, w, _ in chain(_gaps(f, g), _gaps(g, f)):
+        return Assignment(w, f.arity)
     return None
 
 

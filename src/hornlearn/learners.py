@@ -71,22 +71,21 @@ def clh(teacher) -> LearnerReport:
     is appended.  The final hypothesis is the GD basis of the target.
 
     Counterexamples must be negative (the hypothesis is always entailed by
-    the target); receiving a positive one means the teacher is broken and
-    raises :class:`ProtocolError`.
+    the target), so each lies strictly below its closure; a teacher that
+    breaks either promise raises :class:`ProtocolError`.  Every round
+    appends an entry or strictly shrinks one, and an entry shrinks at most
+    n times, so a run ending with |N| entries makes at most (n+1)|N|+1
+    equivalence queries.
     """
     n = teacher.arity
     negatives: list[Assignment] = []
     closures: list[Assignment] = []
     trace: list[TraceEvent] = []
-    rounds = 0
     while True:
         current = hyp(negatives, closures, n)
         answer = teacher.seq(current)
         if answer.is_yes:
             return LearnerReport(current, teacher.stats.copy(), tuple(trace))
-        rounds += 1
-        if rounds > 4 * (len(negatives) + 2) * (n + 2):
-            raise ProtocolError("no convergence within the query budget")
         x = answer.counterexample
         if not satisfies(x, current):
             raise ProtocolError(
@@ -103,8 +102,14 @@ def clh(teacher) -> LearnerReport:
                     trace.append(TraceEvent("refine", i, current, x))
                     break
         else:
+            closed = teacher.cq(x)
+            if not x < closed:
+                raise ProtocolError(
+                    f"closure query returned {closed} for the negative "
+                    f"counterexample {x}, which must lie strictly below it"
+                )
             negatives.append(x)
-            closures.append(teacher.cq(x))
+            closures.append(closed)
             trace.append(TraceEvent("append", len(negatives) - 1, current, x))
 
 

@@ -29,11 +29,11 @@ from .core import (
     EntailmentClause,
     HornFormula,
     _bit_list,
+    _gaps,
     _lex_key,
     _low_bit,
     entails,
     satisfies,
-    separating_assignment,
 )
 
 STRATEGIES = ("first", "random", "minimal")
@@ -145,63 +145,45 @@ class Teacher:
     def seq(self, hypothesis: HornFormula) -> SeqAnswer:
         self._check_formula(hypothesis)
         self.stats.seq += 1
-        return SeqAnswer(self._assignment_counterexample(hypothesis))
+        found = self._counterexample(hypothesis)
+        return SeqAnswer(None if found is None else Assignment(found[1], self.arity))
 
     def eeq(self, hypothesis: HornFormula) -> EeqAnswer:
         self._check_formula(hypothesis)
         self.stats.eeq += 1
-        return EeqAnswer(self._clause_counterexample(hypothesis))
-
-    # counterexample selection
-
-    def _assignment_counterexample(self, hyp: HornFormula) -> Assignment | None:
-        # negative side first: a target implication not entailed by the
-        # hypothesis turns into the hypothesis-closure of its antecedent,
-        # which satisfies the hypothesis and falsifies the target
-        if self.strategy == "first":
-            return separating_assignment(self.target, hyp)
-        n = self.target.arity
-        negatives = [
-            hyp.close(a) for a, c in self.target._masks if c & hyp.close(a) != c
-        ]
-        if negatives:
-            return Assignment(self._pick_mask(negatives), n)
-        positives = [
-            self.target.close(a) for a, c in hyp._masks if c & self.target.close(a) != c
-        ]
-        if positives:
-            return Assignment(self._pick_mask(positives), n)
-        return None
-
-    def _pick_mask(self, candidates: list[int]) -> int:
+        if self.strategy == "minimal":
+            return EeqAnswer(self._minimal_clause(hypothesis))
+        found = self._counterexample(hypothesis)
+        if found is None:
+            return EeqAnswer(None)
+        a, _, gap = found
         if self.strategy == "random":
-            return self._rng.choice(candidates)
-        if self.strategy == "minimal":
-            # every counterexample contains the closure of some violated
-            # implication's antecedent, so the bitwise-minimal ones are
-            # minimal elements of the candidate closures themselves
-            n = self.target.arity
-            return min(candidates, key=lambda m: (m.bit_count(), _lex_key(m, n)))
-        return candidates[0]
+            head = self._rng.choice(_bit_list(gap))
+        else:
+            head = _low_bit(gap)
+        return EeqAnswer(EntailmentClause._of(a, head))
 
-    def _clause_counterexample(self, hyp: HornFormula) -> EntailmentClause | None:
-        if self.strategy == "minimal":
-            return self._minimal_clause(hyp)
-        sides = (
-            (self.target, hyp),  # clause entailed by the target, not the hypothesis
-            (hyp, self.target),
-        )
-        for holder, other in sides:
-            found: list[tuple[int, int]] = []
-            for a, c in holder._masks:
-                gap = c & ~other.close(a)
-                if gap:
-                    if self.strategy == "first":
-                        return EntailmentClause._of(a, _low_bit(gap))
-                    found.append((a, gap))
-            if found:
-                a, gap = self._rng.choice(found)
-                return EntailmentClause._of(a, self._rng.choice(_bit_list(gap)))
+    def _counterexample(self, hyp: HornFormula) -> tuple[int, int, int] | None:
+        """One `(a, w, gap)` of `core._gaps`, picked by the strategy.
+
+        The negative side comes first: a target implication `a -> c` that the
+        hypothesis does not entail gives `w = hyp.close(a)`, which satisfies
+        the hypothesis and falsifies the target.  "first" stops at the first
+        gap, "random" draws one gap of the side, "minimal" takes the gap with
+        the bitwise-minimal `w`: every counterexample contains the closure of
+        some violated implication's antecedent, so the bitwise-minimal ones
+        are minimal elements of these closures themselves.
+        """
+        n = self.target.arity
+        for side in (_gaps(self.target, hyp), _gaps(hyp, self.target)):
+            if self.strategy == "first":
+                found = next(side, None)
+                if found is not None:
+                    return found
+            elif gaps := list(side):
+                if self.strategy == "random":
+                    return self._rng.choice(gaps)
+                return min(gaps, key=lambda t: (t[1].bit_count(), _lex_key(t[1], n)))
         return None
 
     def _minimal_clause(self, hyp: HornFormula) -> EntailmentClause | None:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -31,6 +33,8 @@ from helpers import (
     model_table,
     vs,
 )
+from hornlearn import core
+from hornlearn.generate import GenConfig, random_formula
 
 
 class TestAssignment:
@@ -127,6 +131,26 @@ class TestClosure:
             shuffled = HornFormula(5, imps)
             for start in (vs("e"), vs("ce"), vs("ad"), frozenset()):
                 assert closure(start, shuffled) == closure(start, gd_example)
+
+
+class TestClosureMemo:
+    def test_pickle_and_copies_leave_the_memo_behind(self):
+        f = HornFormula._of(4, [(0b0001, 0b0010), (0b0110, 0b1000)], "pqrs")
+        fresh = pickle.dumps(f)
+        f.close(0b0101)
+        assert f.implications == (imp("a", "b"), imp("bc", "d"))
+        assert pickle.dumps(f) == fresh
+        for clone in (copy.copy(f), copy.deepcopy(f), pickle.loads(fresh)):
+            assert "_closure_cache" not in vars(clone)
+            assert clone == f and clone.names == f.names
+            assert clone.close(0b0101) == f.close(0b0101)
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(core, "CLOSURE_MEMO_LIMIT", 8)
+        f = random_formula(GenConfig(6, 10, seed=3))
+        for mask in [*range(1 << 6)] * 2:
+            assert f.close(mask) == core._chain(mask, f._masks)
+            assert len(f._closure_cache) <= 8
 
 
 class TestClosureLaws:

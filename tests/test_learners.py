@@ -1,13 +1,17 @@
 import random
+import zlib
 
 import pytest
 
 from hornlearn import (
     Assignment,
+    ClosureFromEntailment,
+    GenConfig,
     HornFormula,
     Implication,
     ProtocolError,
     SeqAnswer,
+    StandardFromClosure,
     Teacher,
     afp,
     clh,
@@ -15,6 +19,7 @@ from hornlearn import (
     gd_basis,
     hyp,
     is_left_saturated,
+    random_formula,
     satisfies,
 )
 from hornlearn.oracles import QueryStats
@@ -154,6 +159,28 @@ class TestClh:
         with pytest.raises(ProtocolError, match="positive counterexample"):
             clh(LyingTeacher())
 
+    def test_counterexample_equal_to_its_closure_aborts(self):
+        # an honest negative counterexample lies strictly below its closure;
+        # this teacher repeats one closed assignment, which clh would append
+        # as the tautology `a -> a` on every round
+        class ClosedCounterexampleTeacher:
+            arity = 2
+
+            def __init__(self):
+                self.stats = QueryStats()
+
+            def seq(self, hypothesis):
+                self.stats.seq += 1
+                assert self.stats.seq <= 20, "clh never gave up"
+                return SeqAnswer(asg("10"))
+
+            def cq(self, y):
+                self.stats.cq += 1
+                return y
+
+        with pytest.raises(ProtocolError, match="closure"):
+            clh(ClosedCounterexampleTeacher())
+
 
 class TestAfp:
     def test_trivial_target(self):
@@ -190,3 +217,45 @@ class TestAfp:
             assert equivalent(report.output, target)
             assert brute_equivalent(report.output, target)
             assert report.stats.as_dict() == teacher.stats.as_dict()
+
+
+GOLDEN_TARGET = GenConfig(12, 24, (1, 3), (1, 2), seed=2)
+
+LEARNERS = {
+    "clh": clh,
+    "afp": afp,
+    "clh-entail": lambda teacher: clh(ClosureFromEntailment(teacher)),
+    "afp-closure": lambda teacher: afp(StandardFromClosure(teacher)),
+}
+
+# (algorithm, strategy, seed) -> (nonzero query counts, |output|, CRC-32 of
+# the counterexample sequence); a "first" teacher ignores its seed
+GOLDEN_RUNS = {
+    ("clh", "first", None): ({"seq": 16, "cq": 94}, 13, 0x8D502CB8),
+    ("afp", "first", None): ({"smq": 78, "seq": 23}, 13, 0x8C967985),
+    ("clh-entail", "first", None): ({"emq": 1042, "eeq": 16}, 13, 0x8D502CB8),
+    ("afp-closure", "first", None): ({"seq": 23, "cq": 78}, 13, 0x8C967985),
+    ("clh", "first", 7): ({"seq": 16, "cq": 94}, 13, 0x8D502CB8),
+    ("afp", "first", 7): ({"smq": 78, "seq": 23}, 13, 0x8C967985),
+    ("clh-entail", "first", 7): ({"emq": 1042, "eeq": 16}, 13, 0x8D502CB8),
+    ("afp-closure", "first", 7): ({"seq": 23, "cq": 78}, 13, 0x8C967985),
+    ("clh", "random", 7): ({"seq": 18, "cq": 100}, 13, 0x743DEDEB),
+    ("afp", "random", 7): ({"smq": 79, "seq": 25}, 13, 0xAA3CA09A),
+    ("clh-entail", "random", 7): ({"emq": 1046, "eeq": 17}, 13, 0x13D496BB),
+    ("afp-closure", "random", 7): ({"seq": 25, "cq": 79}, 13, 0xAA3CA09A),
+    ("clh", "minimal", None): ({"seq": 14, "cq": 83}, 13, 0xAD79EBFA),
+    ("afp", "minimal", None): ({"smq": 70, "seq": 23}, 13, 0x743EAAC5),
+    ("clh-entail", "minimal", None): ({"emq": 1310, "eeq": 20}, 13, 0xE5B97F2B),
+    ("afp-closure", "minimal", None): ({"seq": 23, "cq": 70}, 13, 0x743EAAC5),
+}
+
+
+@pytest.mark.parametrize("algo, strategy, seed", list(GOLDEN_RUNS))
+def test_golden_counterexample_sequence(algo, strategy, seed):
+    target = random_formula(GOLDEN_TARGET)
+    report = LEARNERS[algo](Teacher(target, strategy=strategy, seed=seed))
+    counts = {k: v for k, v in report.stats.as_dict().items() if v}
+    sequence = " ".join(str(e.counterexample) for e in report.trace)
+    assert (counts, len(report.output), zlib.crc32(sequence.encode())) == (
+        GOLDEN_RUNS[algo, strategy, seed]
+    )

@@ -220,7 +220,7 @@ class TestRepresentation:
     @given(formula_and_start())
     def test_pickle_round_trip(self, case):
         f, start = case
-        closure(start, f)  # fills the closure memo, which travels too
+        closure(start, f)  # fills the closure memo, which stays behind
         basis = gd_basis(f)
         values = [f, basis, *basis.implications]
         if f.arity:
