@@ -33,41 +33,32 @@ def is_saturated(formula: HornFormula) -> bool:
 
 
 def left_saturate(formula: HornFormula) -> HornFormula:
-    """Replace every antecedent by its quasi-closure, iterating to a fixpoint.
+    """Replace every antecedent by its quasi-closure in the input: the
+    antecedent chained over the input's implications of other classes.
 
     Requires a right-saturated input, so each implication's consequent is its
-    class (the closure of its antecedent).  Passes rewrite antecedents one at
-    a time, chaining over the already-updated implications of other classes.
+    class.  One map suffices, since a rewrite only grows an antecedent inside
+    its class and so never changes another implication's quasi-closure.
     A rewrite keeps the represented function and the closure of the
     antecedent ((quasi-closure)* equals the old closure), so consequents stay
     the classes and the formula stays right-saturated.
     """
     if not is_right_saturated(formula):
         raise ValueError("left_saturate requires a right-saturated formula")
-    pairs = list(formula._masks)
-    changed = True
-    while changed:
-        changed = False
-        for i, (a, c) in enumerate(pairs):
-            bullet = _chain(a, [p for p in pairs if p[1] != c])
-            if bullet != a:
-                pairs[i] = (bullet, c)
-                changed = True
-    return HornFormula._of(formula.arity, pairs, formula.names)
+    pairs = formula._masks
+    out = [(_chain(a, [p for p in pairs if p[1] != c]), c) for a, c in pairs]
+    return HornFormula._of(formula.arity, out, formula.names)
 
 
 def remove_redundant(formula: HornFormula) -> HornFormula:
-    """Drop, in list order, every implication entailed by the remaining ones."""
-    pairs = list(formula._masks)
-    i = 0
-    while i < len(pairs):
-        a, c = pairs[i]
-        rest = pairs[:i] + pairs[i + 1 :]
-        if c & _chain(a, rest) == c:
-            del pairs[i]
-        else:
-            i += 1
-    return HornFormula._of(formula.arity, pairs, formula.names)
+    """Drop, in list order, every implication entailed by the remaining ones:
+    those kept so far and those not yet visited."""
+    kept, later = [], list(formula._masks)
+    while later:
+        a, c = later.pop(0)
+        if c & _chain(a, kept + later) != c:
+            kept.append((a, c))
+    return HornFormula._of(formula.arity, kept, formula.names)
 
 
 def gd_basis(formula: HornFormula) -> HornFormula:

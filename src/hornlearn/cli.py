@@ -19,6 +19,7 @@ an internal fault and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import random
 import sys
@@ -109,7 +110,7 @@ def cmd_learn(args) -> int:
                 f"|hyp|={len(event.hypothesis)}",
                 file=sys.stderr,
             )
-    output = HornFormula(report.output.arity, report.output.implications, target.names)
+    output = HornFormula._of(target.arity, report.output._masks, target.names)
     print(format_formula(output), end="")
     print(_stats_line(report.stats))
     if not equivalent(report.output, target):
@@ -131,13 +132,14 @@ def cmd_bench(args) -> int:
     for _ in range(args.trials):
         n = rng.randint(n_lo, n_hi)
         m = rng.randint(m_lo, m_hi)
-        trials.append((n, m, rng.randrange(2**32)))
+        formula_seed = rng.randrange(2**32)
+        target = random_formula(GenConfig(n, m, seed=formula_seed))
+        trials.append((n, formula_seed, target, len(gd_basis(target))))
     rows = []
     for algo in args.algos:
-        for n, m, formula_seed in trials:
-            target = random_formula(GenConfig(n, m, seed=formula_seed))
-            basis_size = len(gd_basis(target))
-            teacher = Teacher(target, strategy=args.strategy, seed=args.seed)
+        for n, formula_seed, target, basis_size in trials:
+            # a copy leaves the closure memo of earlier runs behind
+            teacher = Teacher(copy.copy(target), strategy=args.strategy, seed=args.seed)
             started = time.perf_counter()
             report = _run_learner(algo, teacher)
             elapsed = time.perf_counter() - started

@@ -55,6 +55,11 @@ def _check_fits(mask: int, arity: int) -> None:
         )
 
 
+def _check_length(x: Assignment, n: int) -> None:
+    if x.n != n:
+        raise ArityError(f"assignment length {x.n} vs arity {n}")
+
+
 def _bit_list(mask: int) -> list[int]:
     """The indices of the set bits, ascending."""
     out = []
@@ -366,8 +371,7 @@ def quasi_closure(start: Iterable[int], formula: HornFormula) -> frozenset[int]:
 
 def satisfies(x: Assignment, formula: HornFormula) -> bool:
     """True iff `x` satisfies every implication of the formula."""
-    if x.n != formula.arity:
-        raise ArityError(f"assignment length {x.n} vs arity {formula.arity}")
+    _check_length(x, formula.arity)
     m = x.mask
     for a, c in formula._masks:
         if a & m == a and c & m != c:

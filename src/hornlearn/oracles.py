@@ -29,6 +29,7 @@ from .core import (
     EntailmentClause,
     HornFormula,
     _bit_list,
+    _check_length,
     _gaps,
     _lex_key,
     _low_bit,
@@ -119,21 +120,17 @@ class Teacher:
     def arity(self) -> int:
         return self.target.arity
 
-    def _check_assignment(self, x: Assignment) -> None:
-        if x.n != self.target.arity:
-            raise ArityError(f"assignment length {x.n} vs arity {self.target.arity}")
-
     def _check_formula(self, h: HornFormula) -> None:
         if h.arity != self.target.arity:
             raise ArityError(f"hypothesis arity {h.arity} vs target {self.target.arity}")
 
     def smq(self, x: Assignment) -> bool:
-        self._check_assignment(x)
+        _check_length(x, self.target.arity)
         self.stats.smq += 1
         return satisfies(x, self.target)
 
     def cq(self, y: Assignment) -> Assignment:
-        self._check_assignment(y)
+        _check_length(y, self.target.arity)
         self.stats.cq += 1
         return Assignment(self.target.close(y.mask), self.target.arity)
 
@@ -224,8 +221,7 @@ class AdversarialSmqTeacher:
         return self.initial_candidates - len(self._ruled_out)
 
     def smq(self, x: Assignment) -> bool:
-        if x.n != self.n:
-            raise ArityError(f"assignment length {x.n} vs arity {self.n}")
+        _check_length(x, self.n)
         self.queries += 1
         if x.mask == (1 << self.n) - 1:
             return True

@@ -30,10 +30,10 @@ import weakref
 from dataclasses import dataclass, field
 
 from .core import (
-    ArityError,
     Assignment,
     EntailmentClause,
     HornFormula,
+    _check_length,
     _lex_key,
     _low_bit,
 )
@@ -44,8 +44,7 @@ from .oracles import AdversarialSmqTeacher, EeqAnswer, SeqAnswer
 def cq_from_emq(teacher, y: Assignment) -> Assignment:
     """Answer a closure query with one entailment membership per unset bit."""
     n = teacher.arity
-    if y.n != n:
-        raise ArityError(f"assignment length {y.n} vs arity {n}")
+    _check_length(y, n)
     mask = y.mask
     for b in range(n):
         if not mask >> b & 1 and teacher.emq(EntailmentClause._of(y.mask, b)):
@@ -57,8 +56,7 @@ def smq_from_emq(teacher, x: Assignment) -> bool:
     """Membership via entailment: x is negative iff some variable outside x
     is entailed by it.  Stops at the first positive answer."""
     n = teacher.arity
-    if x.n != n:
-        raise ArityError(f"assignment length {x.n} vs arity {n}")
+    _check_length(x, n)
     for b in range(n):
         if not x.mask >> b & 1 and teacher.emq(EntailmentClause._of(x.mask, b)):
             return False
@@ -132,8 +130,7 @@ def cq_from_smq_seq(teacher, y: Assignment) -> Assignment:
     if learned is None:
         learned = afp(teacher).output
         _LEARNED[teacher] = learned
-    if y.n != learned.arity:
-        raise ArityError(f"assignment length {y.n} vs arity {learned.arity}")
+    _check_length(y, learned.arity)
     return Assignment(learned.close(y.mask), learned.arity)
 
 

@@ -218,6 +218,36 @@ class TestAfp:
             assert brute_equivalent(report.output, target)
             assert report.stats.as_dict() == teacher.stats.as_dict()
 
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            # `10` is negative in round 1 and appended as `10 -> 01`; repeated
+            # in round 2 it falsifies that hypothesis, so it is positive and
+            # leaves the entry no consequent
+            ("10", "empties the consequent"),
+            # no variable lies outside `11`, so it has no consequent to append
+            ("11", "no admissible consequent"),
+        ],
+    )
+    def test_repeated_counterexample_aborts(self, bits, message):
+        class RepeatingTeacher:
+            arity = 2
+
+            def __init__(self):
+                self.stats = QueryStats()
+
+            def seq(self, hypothesis):
+                self.stats.seq += 1
+                assert self.stats.seq <= 20, "afp never gave up"
+                return SeqAnswer(asg(bits))
+
+            def smq(self, x):
+                self.stats.smq += 1
+                return False
+
+        with pytest.raises(ProtocolError, match=message):
+            afp(RepeatingTeacher())
+
 
 GOLDEN_TARGET = GenConfig(12, 24, (1, 3), (1, 2), seed=2)
 

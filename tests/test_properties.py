@@ -133,7 +133,8 @@ class TestGdBasis:
         for i in right.implications:
             assert i.consequent == _brute_closure(i.antecedent, f)
         left = left_saturate(right)
-        for i in left.implications:
+        for i, j in zip(left.implications, right.implications, strict=True):
+            assert i.antecedent == _brute_quasi_closure(j.antecedent, right)
             assert i.antecedent == _brute_quasi_closure(i.antecedent, left)
             assert i.consequent == _brute_closure(i.antecedent, f)
 
