@@ -11,7 +11,7 @@ implications.
 
 from __future__ import annotations
 
-from .core import HornFormula, _chain, _quasi
+from .core import HornFormula, _chain, _derive, _quasi
 
 
 def right_saturate(formula: HornFormula) -> HornFormula:
@@ -56,7 +56,7 @@ def remove_redundant(formula: HornFormula) -> HornFormula:
     kept, later = [], list(formula._masks)
     while later:
         a, c = later.pop(0)
-        if c & _chain(a, kept + later) != c:
+        if c & _derive(a, kept + later, c)[0] != c:
             kept.append((a, c))
     return HornFormula._of(formula.arity, kept, formula.names)
 

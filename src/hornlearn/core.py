@@ -76,20 +76,37 @@ def _low_bit(mask: int) -> int:
 
 def _chain(mask: int, pairs: Sequence[tuple[int, int]]) -> int:
     """Forward-chaining fixpoint of `mask` over (antecedent, consequent) masks."""
+    return _derive(mask, pairs, -1)[0]  # -1 covers every bit: never reached
+
+
+def _derive(
+    mask: int, pairs: Sequence[tuple[int, int]], goal: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """Chain `mask` over `pairs` until `goal` is covered or nothing fires.
+
+    Returns the reached mask and `used`, the pairs that added bits, in
+    firing order: chaining `mask` over `used` alone reaches the same mask.
+    When `goal` is not covered the result is the full forward-chaining
+    fixpoint, as `_chain` gives.
+    """
+    used = []
     pending = list(pairs)
     fired = True
-    while fired and pending:
+    while fired and pending and goal & mask != goal:
         fired = False
         rest = []
         for a, c in pending:
             if a & mask == a:
                 if c | mask != mask:
                     mask |= c
+                    used.append((a, c))
                     fired = True
+                    if goal & mask == goal:
+                        break
             else:
                 rest.append((a, c))
         pending = rest
-    return mask
+    return mask, used
 
 
 def _lex_key(mask: int, arity: int) -> int:
@@ -385,15 +402,31 @@ def entails(formula: HornFormula, clause: EntailmentClause) -> bool:
     return bool(formula.close(clause._mask) >> clause.head & 1)
 
 
-def _gaps(f: HornFormula, g: HornFormula) -> Iterator[tuple[int, int, int]]:
+def _gaps(
+    f: HornFormula, g: HornFormula, proofs: list[frozenset | None] | None = None
+) -> Iterator[tuple[int, int, int]]:
     """`(a, w, c & ~w)` with `w = g.close(a)`, lazily and in list order, for
     each implication `a -> c` of `f` that `g` does not entail.
 
     Each such `w` satisfies `g` and falsifies `f`; `f` and `g` are
     equivalent iff neither `_gaps(f, g)` nor `_gaps(g, f)` yields anything.
+
+    `proofs`, one slot per implication of `f`, carries derivations across
+    calls with changing `g`: slot j holds the pairs that derived
+    implication j last time (None after a gap).  Any formula containing
+    those pairs entails it too, so it is skipped while they are all in `g`;
+    otherwise it is derived afresh with `_derive`, not through `g.close`.
+    Each stored pair added a bit, so a slot holds at most `f.arity` pairs.
     """
-    for a, c in f._masks:
-        w = g.close(a)
+    have = None if proofs is None else set(g._masks)
+    for j, (a, c) in enumerate(f._masks):
+        if proofs is None:
+            w = g.close(a)
+        elif proofs[j] is not None and proofs[j] <= have:
+            continue
+        else:
+            w, used = _derive(a, g._masks, c)
+            proofs[j] = None if c & ~w else frozenset(used)
         gap = c & ~w
         if gap:
             yield a, w, gap

@@ -14,7 +14,8 @@ Query kinds, named by their classic protocol ids:
 A :class:`Teacher` wraps an immutable target formula with per-protocol
 answer logic, query counters and a counterexample-selection strategy.
 Equivalence-style answers prefer negative counterexamples (ones satisfying
-the hypothesis): the scan walks the target's implications first.
+the hypothesis): the scan walks the target's implications first, reusing
+derivations from earlier queries (see :class:`Teacher`).
 """
 
 from __future__ import annotations
@@ -96,8 +97,15 @@ class Teacher:
     required), "minimal" returns a bitwise-minimal counterexample and is
     available only for arities up to MINIMAL_STRATEGY_MAX_ARITY.
 
-    Counters mutate, so confine an instance to one logical thread; the
-    target itself is never modified.
+    Equivalence answers reuse derivations across queries: `_proofs` holds,
+    per target implication, the hypothesis implications that derived it
+    last (None when it was not entailed), and `core._gaps` skips it while
+    they all remain; the answers are those of a scan from scratch.  The
+    state is one slot per target implication, each at most `arity` pairs
+    (every stored pair added a bit to the derivation).
+
+    Counters and proofs mutate, so confine an instance to one logical
+    thread; the target itself is never modified.
     """
 
     def __init__(
@@ -115,6 +123,7 @@ class Teacher:
         self.strategy = strategy
         self.stats = QueryStats()
         self._rng = random.Random(seed) if seed is not None else None
+        self._proofs: list[frozenset | None] = [None] * len(target)
 
     @property
     def arity(self) -> int:
@@ -125,9 +134,9 @@ class Teacher:
             raise ArityError(f"hypothesis arity {h.arity} vs target {self.target.arity}")
 
     def smq(self, x: Assignment) -> bool:
-        _check_length(x, self.target.arity)
+        answer = satisfies(x, self.target)  # validates the length
         self.stats.smq += 1
-        return satisfies(x, self.target)
+        return answer
 
     def cq(self, y: Assignment) -> Assignment:
         _check_length(y, self.target.arity)
@@ -172,7 +181,8 @@ class Teacher:
         are minimal elements of these closures themselves.
         """
         n = self.target.arity
-        for side in (_gaps(self.target, hyp), _gaps(hyp, self.target)):
+        sides = (_gaps(self.target, hyp, self._proofs), _gaps(hyp, self.target))
+        for side in sides:
             if self.strategy == "first":
                 found = next(side, None)
                 if found is not None:

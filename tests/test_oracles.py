@@ -19,6 +19,8 @@ from hornlearn import (
     satisfies,
 )
 
+from hornlearn.core import _gaps
+
 from helpers import asg, augment, formula, lex_key, vs
 
 
@@ -229,6 +231,107 @@ class TestEeq:
                     if entails(target, clause) != entails(hypothesis, clause):
                         return clause
         return None
+
+
+def _mask_pair(rng, n, heads=None):
+    """A random (antecedent, consequent) mask pair; the consequent is drawn
+    from the variable list `heads`, by default from all n variables."""
+    heads = heads or range(n)
+    a = sum(1 << v for v in rng.sample(range(n), rng.randint(0, min(3, n))))
+    c = sum(1 << v for v in rng.sample(heads, rng.randint(1, min(2, len(heads)))))
+    return a, c
+
+
+def _candidate_pair(rng, target):
+    """A target implication, one the target entails, or a random one."""
+    n = target.arity
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.choice(target._masks)
+    a, c = _mask_pair(rng, n)
+    closed = [v for v in range(n) if target.close(a) >> v & 1]
+    if roll < 0.7 and closed:
+        c = _mask_pair(rng, n, closed)[1]
+    return a, c
+
+
+def _mutate(rng, pairs, history, target):
+    """The next hypothesis: an append, a deleted entry, an antecedent shrunk
+    or grown, a consequent shrunk, or an exact repeat of an earlier one."""
+    n = target.arity
+    kind = rng.choice(("append", "delete", "shrink_a", "grow_a", "shrink_c", "repeat"))
+    if kind == "repeat":
+        return list(rng.choice(history))
+    pairs = list(pairs)
+    if kind == "append" or not pairs:
+        pairs.insert(rng.randint(0, len(pairs)), _candidate_pair(rng, target))
+        return pairs
+    i = rng.randrange(len(pairs))
+    a, c = pairs[i]
+    bit = 1 << rng.randrange(n)
+    if kind == "delete":
+        del pairs[i]
+    elif kind == "shrink_a":
+        pairs[i] = (a & ~bit, c)
+    elif kind == "grow_a":
+        pairs[i] = (a | bit, c)
+    elif c & ~bit:
+        pairs[i] = (a, c & ~bit)
+    return pairs
+
+
+class TestLongLivedTeacher:
+    """One teacher answers a long, non-monotone run of hypotheses; each
+    answer must equal the one recomputed from scratch for that hypothesis."""
+
+    @staticmethod
+    def _fresh_gap(target, h, strategy, rng):
+        n = target.arity
+        for side in (list(_gaps(target, h)), list(_gaps(h, target))):
+            if side:
+                if strategy == "first":
+                    return side[0]
+                if strategy == "random":
+                    return rng.choice(side)
+                return min(side, key=lambda t: (t[1].bit_count(), lex_key(t[1], n)))
+        return None
+
+    @pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
+    def test_answers_equal_a_fresh_scan(self, strategy):
+        rng = random.Random(67)
+        for _ in range(12):
+            n = rng.randint(2, 8)
+            m = rng.randint(2, 10)
+            target = HornFormula._of(n, [_mask_pair(rng, n) for _ in range(m)])
+            seed = 17 if strategy == "random" else None
+            teacher = Teacher(target, strategy=strategy, seed=seed)
+            replay = random.Random(seed)
+            pairs, history = [], [[]]
+            for _ in range(240):
+                pairs = _mutate(rng, pairs, history, target)
+                history.append(pairs)
+                h = HornFormula._of(n, pairs)
+
+                found = self._fresh_gap(target, h, strategy, replay)
+                want = None if found is None else Assignment(found[1], n)
+                assert teacher.seq(h).counterexample == want
+
+                if strategy == "minimal":
+                    want = TestEeq._brute_minimal_clause(target, h)
+                else:
+                    found = self._fresh_gap(target, h, strategy, replay)
+                    want = None
+                    if found is not None:
+                        a, _, gap = found
+                        heads = [v for v in range(n) if gap >> v & 1]
+                        head = replay.choice(heads) if strategy == "random" else heads[0]
+                        want = EntailmentClause._of(a, head)
+                assert teacher.eeq(h).counterexample == want
+
+            assert len(teacher._proofs) == len(target)
+            seen = [set(p) for p in history]
+            for proof in teacher._proofs:
+                assert proof is None or any(proof <= pairs for pairs in seen)
 
 
 class TestAdversary:

@@ -37,6 +37,8 @@ from hornlearn import (
     right_saturate,
 )
 
+from hornlearn.core import _derive
+
 from helpers import brute_closure_mask, brute_equivalent, brute_model_masks
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -123,6 +125,26 @@ class TestClosure:
     @given(formulas())
     def test_models_are_the_brute_force_models(self, f):
         assert sorted(x.mask for x in models(f)) == brute_model_masks(f)
+
+
+class TestDerive:
+    @PROPERTY
+    @given(formula_and_start(), st.data())
+    def test_used_pairs_rederive_the_goal_and_a_miss_is_the_closure(self, case, data):
+        f, start = case
+        a = _mask(start)
+        closed = brute_closure_mask(a, f)
+        goal = _mask(data.draw(_subset(f.arity)))
+        if data.draw(st.booleans()):
+            goal &= closed  # a goal the chaining can reach
+        w, used = _derive(a, f._masks, goal)
+        assert set(used) <= set(f._masks)
+        if goal & w == goal:
+            assert a & w == a and w & closed == w
+            alone = brute_closure_mask(a, HornFormula._of(f.arity, used))
+            assert goal & alone == goal
+        else:
+            assert w == closed
 
 
 class TestGdBasis:
