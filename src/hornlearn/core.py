@@ -16,8 +16,9 @@ the constant-true function.  Inside the package, formulas and clauses are
 built from masks with ``HornFormula._of`` and ``EntailmentClause._of``.
 
 Forward chaining uses the naive fixpoint (repeat passes until no implication
-fires); implications that have fired are dropped from later passes since
-they stay satisfied.
+fires); every implication whose antecedent already holds leaves later
+passes, whether or not it fired, since it stays satisfied.  A model of a
+formula is a fixed point of its closure: ``satisfies`` asks ``close``.
 """
 
 from __future__ import annotations
@@ -115,6 +116,12 @@ def _lex_key(mask: int, arity: int) -> int:
     for i in range(arity):
         key = (key << 1) | ((mask >> i) & 1)
     return key
+
+
+def _line(a: int, c: int, names: Sequence[str]) -> str:
+    """The implication `a -> c` in variable names; `-> c` when `a` is empty."""
+    ant, con = (" ".join(names[i] for i in _bit_list(m)) for m in (a, c))
+    return f"{ant} -> {con}".strip()
 
 
 def default_names(arity: int) -> tuple[str, ...]:
@@ -346,12 +353,7 @@ class HornFormula:
 
     def __str__(self) -> str:
         names = self.names or default_names(self.arity)
-
-        def term(mask: int) -> str:
-            return " ".join(names[i] for i in _bit_list(mask))
-
-        body = ", ".join(f"{term(a)} -> {term(c)}".strip() for a, c in self._masks)
-        return "{" + body + "}"
+        return "{" + ", ".join(_line(a, c, names) for a, c in self._masks) + "}"
 
     def __repr__(self) -> str:
         return f"HornFormula({self.arity}, {str(self)})"
@@ -387,13 +389,10 @@ def quasi_closure(start: Iterable[int], formula: HornFormula) -> frozenset[int]:
 
 
 def satisfies(x: Assignment, formula: HornFormula) -> bool:
-    """True iff `x` satisfies every implication of the formula."""
+    """True iff `x` is a model: a fixed point of `formula.close`, so the
+    answer is read through the formula's bounded closure memo."""
     _check_length(x, formula.arity)
-    m = x.mask
-    for a, c in formula._masks:
-        if a & m == a and c & m != c:
-            return False
-    return True
+    return formula.close(x.mask) == x.mask
 
 
 def entails(formula: HornFormula, clause: EntailmentClause) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .core import HornFormula, Implication, default_names
+from .core import HornFormula, Implication, _line, default_names
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 _ARROW = "->"
@@ -76,8 +76,5 @@ def parse_formula(text: str) -> HornFormula:
 def format_formula(formula: HornFormula) -> str:
     names = formula.names or default_names(formula.arity)
     lines = ["vars: " + " ".join(names)]
-    for imp in formula.implications:
-        ant = " ".join(names[i] for i in sorted(imp.antecedent))
-        con = " ".join(names[i] for i in sorted(imp.consequent))
-        lines.append(f"{ant} -> {con}".lstrip())
+    lines += [_line(a, c, names) for a, c in formula._masks]
     return "\n".join(lines) + "\n"

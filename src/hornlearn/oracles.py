@@ -97,6 +97,9 @@ class Teacher:
     required), "minimal" returns a bitwise-minimal counterexample and is
     available only for arities up to MINIMAL_STRATEGY_MAX_ARITY.
 
+    Membership, closure and entailment answers all read the target's one
+    bounded closure memo: x is a model iff its closure is x.
+
     Equivalence answers reuse derivations across queries: `_proofs` holds,
     per target implication, the hypothesis implications that derived it
     last (None when it was not entailed), and `core._gaps` skips it while

@@ -19,9 +19,19 @@ from hornlearn import (
     satisfies,
 )
 
+from hornlearn import core
 from hornlearn.core import _gaps
+from hornlearn.generate import GenConfig, random_formula
 
-from helpers import asg, augment, formula, lex_key, vs
+from helpers import (
+    asg,
+    augment,
+    brute_closure_mask,
+    brute_model_masks,
+    formula,
+    lex_key,
+    vs,
+)
 
 
 def random_pair(rng, n_max=8):
@@ -332,6 +342,33 @@ class TestLongLivedTeacher:
             seen = [set(p) for p in history]
             for proof in teacher._proofs:
                 assert proof is None or any(proof <= pairs for pairs in seen)
+
+
+class TestMembershipMemo:
+    def test_long_lived_teacher_answers_membership_across_memo_clears(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(core, "CLOSURE_MEMO_LIMIT", 8)
+        target = random_formula(GenConfig(8, 14, seed=5))
+        n = target.arity
+        is_model = set(brute_model_masks(target))
+        teacher = Teacher(target)
+        rng = random.Random(71)
+        masks = list(range(1 << n))
+        asked = clears = 0
+        for _ in range(2):
+            rng.shuffle(masks)
+            for mask in masks:
+                x = Assignment(mask, n)
+                before = len(target._closure_cache)
+                assert teacher.smq(x) == (mask in is_model)
+                asked += 1
+                assert teacher.stats.smq == asked
+                if rng.random() < 0.5:
+                    assert teacher.cq(x).mask == brute_closure_mask(mask, target)
+                clears += len(target._closure_cache) < before
+                assert len(target._closure_cache) <= 8
+        assert asked == 2 << n and clears > 0
 
 
 class TestAdversary:

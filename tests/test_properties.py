@@ -11,7 +11,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hornlearn import (
@@ -35,6 +35,7 @@ from hornlearn import (
     quasi_closure,
     remove_redundant,
     right_saturate,
+    satisfies,
 )
 
 from hornlearn.core import _derive
@@ -68,6 +69,20 @@ def formulas(draw, max_arity: int = MAX_ARITY, max_size: int = 8):
 def formula_and_start(draw):
     f = draw(formulas(max_arity=MAX_ARITY))
     return f, draw(_subset(f.arity))
+
+
+@st.composite
+def noisy_formulas(draw):
+    """Formulas of arity 0-8 with duplicate pairs and `a -> a` tautologies
+    mixed in, in a drawn order."""
+    f = draw(formulas(max_arity=8))
+    imps = list(f.implications)
+    if imps:
+        imps += draw(st.lists(st.sampled_from(imps), max_size=3))
+    if f.arity:
+        tautologies = draw(st.lists(_subset(f.arity, min_size=1), max_size=2))
+        imps += [Implication(a, a) for a in tautologies]
+    return HornFormula(f.arity, draw(st.permutations(imps)))
 
 
 def _mask(variables) -> int:
@@ -125,6 +140,28 @@ class TestClosure:
     @given(formulas())
     def test_models_are_the_brute_force_models(self, f):
         assert sorted(x.mask for x in models(f)) == brute_model_masks(f)
+
+
+class TestMembership:
+    @PROPERTY
+    @given(noisy_formulas())
+    @example(HornFormula(0, []))
+    @example(HornFormula(8, []))
+    @example(
+        HornFormula(
+            3,
+            [Implication(frozenset(), frozenset({1}))] * 2
+            + [Implication(frozenset({0, 2}), frozenset({0, 2}))],
+        )
+    )
+    def test_satisfies_and_models_are_the_brute_force_models(self, f):
+        n = f.arity
+        brute = brute_model_masks(f)
+        for _ in range(2):  # the second pass is answered from the closure memo
+            got = [m for m in range(1 << n) if satisfies(Assignment(m, n), f)]
+            assert got == brute
+            assert len(f._closure_cache) == 1 << n
+        assert sorted(x.mask for x in models(f)) == brute
 
 
 class TestDerive:
