@@ -7,6 +7,9 @@ negative example, the strongest consequent compatible with the positive
 examples seen so far; its output is equivalent to the target but not
 canonical in general.
 
+Each learner's state is one list of (antecedent, consequent) mask pairs; an
+:class:`Assignment` is built only where a teacher query needs one.
+
 Both take any teacher-shaped object: ``clh`` needs ``cq``/``seq``, ``afp``
 needs ``smq``/``seq``, plus ``arity`` and ``stats``.  Protocol-simulation
 adapters from :mod:`hornlearn.reductions` satisfy the same shape, so the
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Assignment, HornFormula, satisfies
+from .core import Assignment, HornFormula, _check_length, satisfies
 from .oracles import QueryStats
 
 
@@ -51,9 +54,9 @@ class LearnerReport:
 def hyp(
     negatives: list[Assignment], closures: list[Assignment], arity: int
 ) -> HornFormula:
-    """The hypothesis for a list of negative examples: one implication
-    `ones(y) -> ones(closure(y))` per entry, in list order, built from the
-    memoized closures so no fresh queries are needed."""
+    """The paper's hyp(N), for callers that hold `Assignment` lists: one
+    implication `ones(y) -> ones(closure(y))` per entry, in list order, from
+    the memoized closures.  The learners build it from their mask pairs."""
     if len(closures) != len(negatives):
         raise ValueError(
             f"closure memo has {len(closures)} entries for {len(negatives)} examples"
@@ -65,7 +68,7 @@ def hyp(
 def clh(teacher) -> LearnerReport:
     """Learn a definite Horn target from closure and equivalence queries.
 
-    Keeps a list N of negative examples with memoized closures.  On a
+    Keeps the list N of negative examples as (y, closure(y)) mask pairs.  On a
     counterexample x, the first entry whose intersection with x is strictly
     smaller and still negative is replaced by that intersection; otherwise x
     is appended.  The final hypothesis is the GD basis of the target.
@@ -78,11 +81,16 @@ def clh(teacher) -> LearnerReport:
     equivalence queries.
     """
     n = teacher.arity
-    negatives: list[Assignment] = []
-    closures: list[Assignment] = []
+    pairs: list[tuple[int, int]] = []
     trace: list[TraceEvent] = []
+
+    def closure(y: int) -> int:
+        closed = teacher.cq(Assignment(y, n))
+        _check_length(closed, n)
+        return closed.mask
+
     while True:
-        current = hyp(negatives, closures, n)
+        current = HornFormula._of(n, pairs)
         answer = teacher.seq(current)
         if answer.is_yes:
             return LearnerReport(current, teacher.stats.copy(), tuple(trace))
@@ -92,85 +100,80 @@ def clh(teacher) -> LearnerReport:
                 f"positive counterexample {x}: the hypothesis is entailed by the "
                 "target, so every counterexample must satisfy the hypothesis"
             )
-        for i, y_i in enumerate(negatives):
-            y = x & y_i
-            if y < y_i:
-                closed = teacher.cq(y)
-                if y < closed:
-                    negatives[i] = y
-                    closures[i] = closed
+        for i, (y_i, _) in enumerate(pairs):
+            y = x.mask & y_i
+            if y != y_i:
+                closed = closure(y)
+                if closed != y and closed & y == y:
+                    pairs[i] = (y, closed)
                     trace.append(TraceEvent("refine", i, current, x))
                     break
         else:
-            closed = teacher.cq(x)
-            if not x < closed:
+            closed = closure(x.mask)
+            if closed == x.mask or closed & x.mask != x.mask:
                 raise ProtocolError(
-                    f"closure query returned {closed} for the negative "
-                    f"counterexample {x}, which must lie strictly below it"
+                    f"closure query returned {Assignment(closed, n)} for the "
+                    f"negative counterexample {x}, which must lie strictly below it"
                 )
-            negatives.append(x)
-            closures.append(closed)
-            trace.append(TraceEvent("append", len(negatives) - 1, current, x))
+            pairs.append((x.mask, closed))
+            trace.append(TraceEvent("append", len(pairs) - 1, current, x))
 
 
 def afp(teacher) -> LearnerReport:
     """Learn from standard membership and equivalence queries.
 
-    Per negative example y the hypothesis carries a consequent set,
-    initialized to every variable outside y and intersected with each
-    positive example above y as they arrive.  Negative counterexamples
-    refine the example list exactly as in `clh`, except the negativity of
-    an intersection is tested with a membership query; positive ones shrink
-    the consequents of the entries they cover.
+    Keeps one (y, consequent) mask pair per negative example y and the masks
+    of the positive examples.  A consequent starts as every variable outside
+    y and is intersected with each positive example above y.  Negative
+    counterexamples refine the example list exactly as in `clh`, except the
+    negativity of an intersection is tested with a membership query;
+    positive ones shrink the consequents of the entries they cover.
     """
     n = teacher.arity
     full = (1 << n) - 1
-    entries: list[Assignment] = []
-    consequents: list[int] = []
+    pairs: list[tuple[int, int]] = []
     positives: list[int] = []
     trace: list[TraceEvent] = []
 
-    def strongest_consequent(y: Assignment) -> int:
-        c = full & ~y.mask
+    def strongest_consequent(y: int) -> int:
+        c = full & ~y
         for p in positives:
-            if p & y.mask == y.mask:
+            if p & y == y:
                 c &= p
         if c == 0:
             raise ProtocolError(
-                f"no admissible consequent left for negative example {y}; "
-                "the teacher's answers are inconsistent with a definite Horn target"
+                f"no admissible consequent left for negative example "
+                f"{Assignment(y, n)}; the teacher's answers are inconsistent "
+                "with a definite Horn target"
             )
         return c
 
     while True:
-        current = HornFormula._of(
-            n, [(y.mask, c) for y, c in zip(entries, consequents)]
-        )
+        current = HornFormula._of(n, pairs)
         answer = teacher.seq(current)
         if answer.is_yes:
             return LearnerReport(current, teacher.stats.copy(), tuple(trace))
         x = answer.counterexample
         if satisfies(x, current):
             # satisfies the hypothesis, hence falsifies the target: negative
-            for i, y_i in enumerate(entries):
-                y = x & y_i
-                if y < y_i and not teacher.smq(y):
-                    entries[i] = y
-                    consequents[i] = strongest_consequent(y)
+            for i, (y_i, _) in enumerate(pairs):
+                y = x.mask & y_i
+                if y != y_i and not teacher.smq(Assignment(y, n)):
+                    pairs[i] = (y, strongest_consequent(y))
                     trace.append(TraceEvent("refine", i, current, x))
                     break
             else:
-                entries.append(x)
-                consequents.append(strongest_consequent(x))
-                trace.append(TraceEvent("append", len(entries) - 1, current, x))
+                pairs.append((x.mask, strongest_consequent(x.mask)))
+                trace.append(TraceEvent("append", len(pairs) - 1, current, x))
         else:
             positives.append(x.mask)
-            for i, y_i in enumerate(entries):
-                if y_i.mask & x.mask == y_i.mask:
-                    shrunk = consequents[i] & x.mask
+            for i, (y_i, c) in enumerate(pairs):
+                if y_i & x.mask == y_i:
+                    shrunk = c & x.mask
                     if shrunk == 0:
                         raise ProtocolError(
-                            f"positive example {x} empties the consequent of {y_i}"
+                            f"positive example {x} empties the consequent of "
+                            f"{Assignment(y_i, n)}"
                         )
-                    consequents[i] = shrunk
+                    pairs[i] = (y_i, shrunk)
             trace.append(TraceEvent("positive", None, current, x))

@@ -25,12 +25,12 @@ import random
 from dataclasses import dataclass
 
 from .core import (
-    ArityError,
     Assignment,
     EntailmentClause,
     HornFormula,
     _bit_list,
     _check_length,
+    _check_same_arity,
     _gaps,
     _lex_key,
     _low_bit,
@@ -132,10 +132,6 @@ class Teacher:
     def arity(self) -> int:
         return self.target.arity
 
-    def _check_formula(self, h: HornFormula) -> None:
-        if h.arity != self.target.arity:
-            raise ArityError(f"hypothesis arity {h.arity} vs target {self.target.arity}")
-
     def smq(self, x: Assignment) -> bool:
         answer = satisfies(x, self.target)  # validates the length
         self.stats.smq += 1
@@ -152,13 +148,13 @@ class Teacher:
         return answer
 
     def seq(self, hypothesis: HornFormula) -> SeqAnswer:
-        self._check_formula(hypothesis)
+        _check_same_arity(self.target, hypothesis)
         self.stats.seq += 1
         found = self._counterexample(hypothesis)
         return SeqAnswer(None if found is None else Assignment(found[1], self.arity))
 
     def eeq(self, hypothesis: HornFormula) -> EeqAnswer:
-        self._check_formula(hypothesis)
+        _check_same_arity(self.target, hypothesis)
         self.stats.eeq += 1
         if self.strategy == "minimal":
             return EeqAnswer(self._minimal_clause(hypothesis))

@@ -4,6 +4,7 @@ import zlib
 import pytest
 
 from hornlearn import (
+    ArityError,
     Assignment,
     ClosureFromEntailment,
     GenConfig,
@@ -180,6 +181,40 @@ class TestClh:
 
         with pytest.raises(ProtocolError, match="closure"):
             clh(ClosedCounterexampleTeacher())
+
+    @pytest.mark.parametrize(
+        "counterexamples",
+        [
+            # `100` is appended, and its closure query gets the short answer
+            ["100"],
+            # `110` is appended honestly, then `100` refines it to `100`,
+            # whose closure query gets the short answer
+            ["110", "100"],
+        ],
+    )
+    def test_short_closure_answer_raises_arity_error(self, counterexamples):
+        class ShortClosureTeacher:
+            # answers the closure of `100` with a two-bit assignment whose
+            # mask would also fit three bits; says YES once out of script
+            arity = 3
+
+            def __init__(self):
+                self.stats = QueryStats()
+
+            def seq(self, hypothesis):
+                self.stats.seq += 1
+                if self.stats.seq > len(counterexamples):
+                    return SeqAnswer()
+                return SeqAnswer(asg(counterexamples[self.stats.seq - 1]))
+
+            def cq(self, y):
+                self.stats.cq += 1
+                if y == asg("100"):
+                    return Assignment(0b11, 2)
+                return Assignment.full(3)
+
+        with pytest.raises(ArityError):
+            clh(ShortClosureTeacher())
 
 
 class TestAfp:

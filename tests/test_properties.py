@@ -136,11 +136,6 @@ class TestClosure:
         f, start = case
         assert quasi_closure(start, f) == _brute_quasi_closure(start, f)
 
-    @PROPERTY
-    @given(formulas())
-    def test_models_are_the_brute_force_models(self, f):
-        assert sorted(x.mask for x in models(f)) == brute_model_masks(f)
-
 
 class TestMembership:
     @PROPERTY
