@@ -38,7 +38,7 @@ from .core import (
 )
 from .formats import FormulaParseError, format_formula, parse_formula
 from .generate import GenConfig, example_corpus, random_formula
-from .learners import LearnerReport, ProtocolError, TraceEvent, afp, clh, hyp
+from .learners import LearnerReport, ProtocolError, TraceEvent, afp, clh
 from .oracles import (
     AdversarialSmqTeacher,
     EeqAnswer,
@@ -99,7 +99,6 @@ __all__ = [
     "family_member",
     "format_formula",
     "gd_basis",
-    "hyp",
     "is_intersection_closed",
     "is_left_saturated",
     "is_right_saturated",

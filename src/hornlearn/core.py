@@ -167,20 +167,16 @@ class Assignment:
     def full(cls, n: int) -> "Assignment":
         return cls((1 << n) - 1, n)
 
-    def _check(self, other: "Assignment") -> None:
-        if self.n != other.n:
-            raise ArityError(f"mixed lengths {self.n} and {other.n}")
-
     def __and__(self, other: "Assignment") -> "Assignment":
-        self._check(other)
+        _check_length(other, self.n)
         return Assignment(self.mask & other.mask, self.n)
 
     def __or__(self, other: "Assignment") -> "Assignment":
-        self._check(other)
+        _check_length(other, self.n)
         return Assignment(self.mask | other.mask, self.n)
 
     def __le__(self, other: "Assignment") -> bool:
-        self._check(other)
+        _check_length(other, self.n)
         return self.mask & other.mask == self.mask
 
     def __lt__(self, other: "Assignment") -> bool:
@@ -191,11 +187,6 @@ class Assignment:
 
     def __gt__(self, other: "Assignment") -> bool:
         return other < self
-
-    def bit(self, i: int) -> bool:
-        if not 0 <= i < self.n:
-            raise ArityError(f"variable index {i} out of range for arity {self.n}")
-        return bool(self.mask >> i & 1)
 
     def bits(self) -> tuple[int, ...]:
         return tuple((self.mask >> i) & 1 for i in range(self.n))
@@ -479,8 +470,7 @@ def is_intersection_closed(assignments: Sequence[Assignment]) -> bool:
     n = assignments[0].n
     present = set()
     for x in assignments:
-        if x.n != n:
-            raise ArityError(f"mixed lengths {n} and {x.n}")
+        _check_length(x, n)
         present.add(x.mask)
     k = len(present)
     if n > 22 or k * k <= n << n:

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .core import HornFormula, Implication
+from .formats import parse_formula
 
 __all__ = ["GenConfig", "random_formula", "example_corpus"]
 
@@ -63,16 +64,28 @@ def random_formula(config: GenConfig) -> HornFormula:
     return HornFormula(config.arity, imps)
 
 
-def _imp(antecedent: str, consequent: str) -> Implication:
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    return Implication(
-        frozenset(letters.index(ch) for ch in antecedent),
-        frozenset(letters.index(ch) for ch in consequent),
-    )
+# the text of corpus/<name>.horn, without its comments
+_EXAMPLES = {
+    "gd-example": """\
+vars: a b c d e
+e -> d
+b c -> d
+b d -> c
+c d -> b
+a d -> b c e
+c e -> a b
+""",
+    "bullet-example": """\
+vars: a b c d
+a -> b
+a -> c
+c -> d
+""",
+}
 
 
 def example_corpus() -> dict[str, HornFormula]:
-    """Named worked examples.
+    """Named worked examples, parsed from the same text as `corpus/*.horn`.
 
     * ``gd-example``: the classic six-implication formula over a..e whose
       antecedent closures split into the three classes ed / bcd / abcde.
@@ -82,22 +95,4 @@ def example_corpus() -> dict[str, HornFormula]:
 
     Unknown names raise KeyError.
     """
-    return {
-        "gd-example": HornFormula(
-            5,
-            [
-                _imp("e", "d"),
-                _imp("bc", "d"),
-                _imp("bd", "c"),
-                _imp("cd", "b"),
-                _imp("ad", "bce"),
-                _imp("ce", "ab"),
-            ],
-            names=tuple("abcde"),
-        ),
-        "bullet-example": HornFormula(
-            4,
-            [_imp("a", "b"), _imp("a", "c"), _imp("c", "d")],
-            names=tuple("abcd"),
-        ),
-    }
+    return {name: parse_formula(text) for name, text in _EXAMPLES.items()}

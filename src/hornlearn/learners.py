@@ -7,8 +7,10 @@ negative example, the strongest consequent compatible with the positive
 examples seen so far; its output is equivalent to the target but not
 canonical in general.
 
-Each learner's state is one list of (antecedent, consequent) mask pairs; an
-:class:`Assignment` is built only where a teacher query needs one.
+Each learner's state is one list of (antecedent, consequent) mask pairs,
+and each round's hypothesis is ``HornFormula._of(n, pairs)``: in ``clh``,
+the paper's hyp(N) = {y -> y* : y in N}.  An :class:`Assignment` is built
+only where a teacher query needs one.
 
 Both take any teacher-shaped object: ``clh`` needs ``cq``/``seq``, ``afp``
 needs ``smq``/``seq``, plus ``arity`` and ``stats``.  Protocol-simulation
@@ -51,27 +53,15 @@ class LearnerReport:
     trace: tuple[TraceEvent, ...]
 
 
-def hyp(
-    negatives: list[Assignment], closures: list[Assignment], arity: int
-) -> HornFormula:
-    """The paper's hyp(N), for callers that hold `Assignment` lists: one
-    implication `ones(y) -> ones(closure(y))` per entry, in list order, from
-    the memoized closures.  The learners build it from their mask pairs."""
-    if len(closures) != len(negatives):
-        raise ValueError(
-            f"closure memo has {len(closures)} entries for {len(negatives)} examples"
-        )
-    pairs = [(y.mask, z.mask) for y, z in zip(negatives, closures)]
-    return HornFormula._of(arity, pairs)
-
-
 def clh(teacher) -> LearnerReport:
     """Learn a definite Horn target from closure and equivalence queries.
 
-    Keeps the list N of negative examples as (y, closure(y)) mask pairs.  On a
-    counterexample x, the first entry whose intersection with x is strictly
-    smaller and still negative is replaced by that intersection; otherwise x
-    is appended.  The final hypothesis is the GD basis of the target.
+    Keeps the list N of negative examples as (y, closure(y)) mask pairs, so
+    each round's hypothesis is the paper's hyp(N) = {y -> y* : y in N},
+    built as `HornFormula._of(n, pairs)`.  On a counterexample x, the first
+    entry whose intersection with x is strictly smaller and still negative
+    is replaced by that intersection; otherwise x is appended.  The final
+    hypothesis is the GD basis of the target.
 
     Counterexamples must be negative (the hypothesis is always entailed by
     the target), so each lies strictly below its closure; a teacher that

@@ -1,4 +1,5 @@
 import copy
+import operator
 import pickle
 import random
 
@@ -73,6 +74,27 @@ class TestAssignment:
         assert Assignment.zero(3) == asg("000")
         assert Assignment.full(3) == asg("111")
         assert Assignment.full(3).count == 3
+
+
+LENGTH_CHECKED = {
+    "and": operator.and_,
+    "or": operator.or_,
+    "le": operator.le,
+    "lt": operator.lt,
+    "ge": operator.ge,
+    "gt": operator.gt,
+    "is_intersection_closed": lambda x, y: is_intersection_closed([x, y]),
+}
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["long-short", "short-long"])
+@pytest.mark.parametrize("name", LENGTH_CHECKED)
+def test_length_mismatch_has_one_wording(name, swap):
+    x, y = Assignment.from_string("10"), Assignment.from_string("1")
+    if swap:
+        x, y = y, x
+    with pytest.raises(ArityError, match=r"assignment length \d+ vs arity \d+"):
+        LENGTH_CHECKED[name](x, y)
 
 
 class TestFormulaConstruction:

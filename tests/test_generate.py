@@ -77,6 +77,7 @@ class TestExampleCorpus:
         from hornlearn import parse_formula
 
         root = Path(__file__).resolve().parent.parent / "corpus"
+        assert {p.stem for p in root.glob("*.horn")} == set(example_corpus())
         for name, f in example_corpus().items():
             on_disk = parse_formula((root / f"{name}.horn").read_text())
             assert on_disk == f

@@ -18,14 +18,13 @@ from hornlearn import (
     clh,
     equivalent,
     gd_basis,
-    hyp,
     is_left_saturated,
     random_formula,
     satisfies,
 )
 from hornlearn.oracles import QueryStats
 
-from helpers import asg, brute_equivalent, brute_model_masks, formula, imp, vs
+from helpers import asg, brute_equivalent, brute_model_masks, formula, imp
 
 
 def random_target(rng, n_lo=3, n_hi=10, m_hi=8):
@@ -38,25 +37,6 @@ def random_target(rng, n_lo=3, n_hi=10, m_hi=8):
         for _ in range(rng.randint(1, m_hi))
     ]
     return HornFormula(n, imps)
-
-
-class TestHyp:
-    def test_empty(self):
-        assert hyp([], [], 4) == HornFormula(4, [])
-
-    def test_single_entry(self):
-        out = hyp([asg("10")], [asg("11")], 2)
-        assert out.implications == (imp("a", "ab"),)
-
-    def test_gd_entry(self, gd_example):
-        y = Assignment.from_vars(vs("e"), 5)
-        closed = Teacher(gd_example).cq(y)
-        out = hyp([y], [closed], 5)
-        assert out.implications == (imp("e", "de"),)
-
-    def test_missing_memo_entry(self):
-        with pytest.raises(ValueError):
-            hyp([asg("10")], [], 2)
 
 
 class TestClh:
