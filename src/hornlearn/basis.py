@@ -7,6 +7,12 @@ itself).  A definite Horn function has at most one fully saturated basis,
 which also has the minimum number of implications; the pipeline here
 computes it as right-saturate, then left-saturate, then drop redundant
 implications.
+
+The stages reuse their own work.  Right saturation chains over the list it
+is rewriting, whose earlier consequents are already closures.  Left
+saturation builds the list of other-class implications once per class, not
+once per implication.  `gd_basis` skips left saturation's precondition
+check, since right saturation has just established it.
 """
 
 from __future__ import annotations
@@ -15,9 +21,17 @@ from .core import HornFormula, _chain, _derive, _quasi
 
 
 def right_saturate(formula: HornFormula) -> HornFormula:
-    """Replace every consequent by the closure of its antecedent."""
-    pairs = [(a, formula.close(a)) for a, _ in formula._masks]
-    return HornFormula._of(formula.arity, pairs, formula.names)
+    """Replace every consequent by the closure of its antecedent.
+
+    Each antecedent is chained over the list being rewritten.  A rewritten
+    consequent is the closure of its antecedent, so it is entailed and the
+    list stays equivalent to the input: chaining over it gives the input's
+    closures, and each earlier entry fires its whole class at once.
+    """
+    out = list(formula._masks)
+    for i, (a, _) in enumerate(out):
+        out[i] = (a, _chain(a, out))
+    return HornFormula._of(formula.arity, out, formula.names)
 
 
 def is_right_saturated(formula: HornFormula) -> bool:
@@ -45,8 +59,24 @@ def left_saturate(formula: HornFormula) -> HornFormula:
     """
     if not is_right_saturated(formula):
         raise ValueError("left_saturate requires a right-saturated formula")
+    return _left_saturate(formula)
+
+
+def _left_saturate(formula: HornFormula) -> HornFormula:
+    """`left_saturate` of a right-saturated formula, without the check.
+
+    The implications of one class share their other-class list, which is
+    built once per class; only one such list is alive at a time.
+    """
     pairs = formula._masks
-    out = [(_chain(a, [p for p in pairs if p[1] != c]), c) for a, c in pairs]
+    classes: dict[int, list[int]] = {}
+    for i, (_, c) in enumerate(pairs):
+        classes.setdefault(c, []).append(i)
+    out = list(pairs)
+    for c, members in classes.items():
+        others = [p for p in pairs if p[1] != c]
+        for i in members:
+            out[i] = (_chain(pairs[i][0], others), c)
     return HornFormula._of(formula.arity, out, formula.names)
 
 
@@ -65,6 +95,8 @@ def gd_basis(formula: HornFormula) -> HornFormula:
     """The unique saturated, minimum-size implication basis of the formula.
 
     Equivalent inputs yield the same implication set, whatever their
-    ordering or redundancy.
+    ordering or redundancy.  Right saturation makes every consequent the
+    class of its antecedent, so left saturation runs without re-checking
+    that.
     """
-    return remove_redundant(left_saturate(right_saturate(formula)))
+    return remove_redundant(_left_saturate(right_saturate(formula)))

@@ -205,7 +205,7 @@ class Assignment:
         return f"Assignment({str(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implication:
     """`antecedent -> consequent` over variable index sets; consequent nonempty."""
 
@@ -357,13 +357,16 @@ def _check_same_arity(f: HornFormula, g: HornFormula) -> None:
 
 def closure(start: Iterable[int], formula: HornFormula) -> frozenset[int]:
     """The least superset of `start` stable under the formula's implications."""
-    mask = Assignment.from_vars(start, formula.arity).mask
+    mask = _mask_of(start)
+    _check_fits(mask, formula.arity)
     return frozenset(_bit_list(formula.close(mask)))
 
 
 def subformula_same_class(start: Iterable[int], formula: HornFormula) -> HornFormula:
     """Implications whose antecedent has the same closure as `start`, in order."""
-    target = formula.close(Assignment.from_vars(start, formula.arity).mask)
+    mask = _mask_of(start)
+    _check_fits(mask, formula.arity)
+    target = formula.close(mask)
     keep = [p for p in formula._masks if formula.close(p[0]) == target]
     return HornFormula._of(formula.arity, keep, formula.names)
 
@@ -375,7 +378,8 @@ def _quasi(mask: int, formula: HornFormula) -> int:
 
 def quasi_closure(start: Iterable[int], formula: HornFormula) -> frozenset[int]:
     """Closure of `start` with the implications of its own class removed."""
-    mask = Assignment.from_vars(start, formula.arity).mask
+    mask = _mask_of(start)
+    _check_fits(mask, formula.arity)
     return frozenset(_bit_list(_quasi(mask, formula)))
 
 

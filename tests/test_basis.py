@@ -1,5 +1,6 @@
 import itertools
 import random
+import zlib
 
 import pytest
 
@@ -17,6 +18,8 @@ from hornlearn import (
     remove_redundant,
     right_saturate,
 )
+
+from hornlearn.generate import GenConfig, random_formula
 
 from helpers import augment, brute_equivalent, formula, imp, vs
 
@@ -220,3 +223,20 @@ class TestIsSaturated:
             basis = gd_basis(random_definite(rng))
             assert is_saturated(basis)
             assert remove_redundant(basis) == basis
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, size, crc",
+    [
+        (100, 400, 1, 93, 0x4A48A0EE),
+        (200, 800, 1, 206, 0xF2E51121),
+        (200, 800, 2, 236, 0x707444B9),
+    ],
+    ids=["100-400-seed1", "200-800-seed1", "200-800-seed2"],
+)
+def test_gd_basis_order_at_bench_scale(n, m, seed, size, crc):
+    """The ordered output on the benchmark's formula shapes, pinned by the
+    CRC-32 of the repr of its mask pairs."""
+    basis = gd_basis(random_formula(GenConfig(n, m, (1, 4), (1, 2), seed=seed)))
+    assert len(basis) == size
+    assert zlib.crc32(repr(basis._masks).encode()) == crc

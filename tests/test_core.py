@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import operator
 import pickle
 import random
@@ -97,7 +98,24 @@ def test_length_mismatch_has_one_wording(name, swap):
         LENGTH_CHECKED[name](x, y)
 
 
+@pytest.mark.parametrize(
+    "fn", [closure, quasi_closure, subformula_same_class], ids=lambda fn: fn.__name__
+)
+def test_start_index_out_of_range_has_the_formula_wording(fn, bullet_example):
+    wording = r"variable index \d+ out of range for arity \d+"
+    with pytest.raises(ArityError, match=wording):
+        fn({7}, bullet_example)
+
+
 class TestFormulaConstruction:
+    def test_implication_is_slotted_frozen_and_picklable(self):
+        i = imp("ac", "bd")
+        for clone in (pickle.loads(pickle.dumps(i)), copy.deepcopy(i)):
+            assert clone == i and hash(clone) == hash(i)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            i.antecedent = frozenset()
+        assert not hasattr(i, "__dict__")
+
     def test_consequent_must_be_nonempty(self):
         with pytest.raises(ValueError):
             Implication(frozenset({0}), frozenset())

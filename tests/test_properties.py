@@ -223,6 +223,14 @@ class TestGdBasis:
             assert not brute_equivalent(HornFormula(f.arity, rest), basis)
 
 
+class TestGdBasisStages:
+    @PROPERTY
+    @given(noisy_formulas())
+    def test_gd_basis_is_the_public_stages_in_order(self, f):
+        staged = remove_redundant(left_saturate(right_saturate(f)))
+        assert gd_basis(f)._masks == staged._masks
+
+
 def _teacher(f: HornFormula, strategy: str, seed: int) -> Teacher:
     return Teacher(f, strategy=strategy, seed=seed if strategy == "random" else None)
 
