@@ -8,30 +8,105 @@ which also has the minimum number of implications; the pipeline here
 computes it as right-saturate, then left-saturate, then drop redundant
 implications.
 
-The stages reuse their own work.  Right saturation chains over the list it
-is rewriting, whose earlier consequents are already closures.  Left
-saturation builds the list of other-class implications once per class, not
-once per implication.  `gd_basis` skips left saturation's precondition
-check, since right saturation has just established it.
+No stage chains one antecedent at a time.  Both saturations close every
+antecedent at once in one row-parallel fixpoint (`_saturate`), with the
+implications grouped by consequent.  On saturated input, redundancy is a
+containment test between antecedents of one class (`_drop_dominated`).
+`gd_basis` skips left saturation's precondition check, since right
+saturation has just established it.
 """
 
 from __future__ import annotations
 
-from .core import HornFormula, _chain, _derive, _quasi
+from collections.abc import Sequence
+
+from .core import HornFormula, _bit_list, _derive, _quasi
+
+
+def _transpose(vectors: Sequence[int], width: int) -> list[int]:
+    """The bit matrix whose rows are `vectors` (`width` bits each), read by
+    column: bit i of `out[j]` is bit j of `vectors[i]`.
+
+    Eight vectors at a time: the binary digits of a vector, read as bytes
+    ('0' is 0x30, '1' is 0x31), hold its bits as their low bits, one byte
+    per bit; eight vectors, each shifted to its own bit of those bytes, make
+    one block, and the blocks are read back per column, one byte each.
+    """
+    if not vectors:
+        return [0] * width
+    ones = int.from_bytes(b"\x01" * width, "little")
+    spec = f"0{width}b"
+    blocks = []
+    for k in range(0, len(vectors), 8):
+        block = 0
+        for shift, v in enumerate(vectors[k : k + 8]):
+            block |= (int.from_bytes(format(v, spec).encode(), "big") & ones) << shift
+        blocks.append(block.to_bytes(width, "little"))
+    return [int.from_bytes(bytes(t), "little") for t in zip(*blocks)]
+
+
+def _saturate(
+    rows: Sequence[int],
+    arity: int,
+    groups: Sequence[tuple[Sequence[int], int, int]],
+) -> list[int]:
+    """Chain every row mask at once to its fixpoint under `groups`.
+
+    A group `(antecedents, consequent, allowed)` holds implications with one
+    consequent and fires only in the rows set in `allowed`.  The state is
+    one int per variable, the column `col[v]`, whose bit r is set when row r
+    holds v: an antecedent fires in the AND of its columns, and firing ORs
+    those rows into the consequent's columns.  Columns only grow, so a group
+    passes on only the rows it has not fired in before.
+    """
+    col = _transpose(rows, arity)
+    walk = [([_bit_list(a) for a in ants], _bit_list(c), ok) for ants, c, ok in groups]
+    fired = [0] * len(walk)
+    changed = True
+    while changed:
+        changed = False
+        for g, (ants, cons, allowed) in enumerate(walk):
+            hit = 0
+            for a in ants:
+                t = allowed
+                for v in a:
+                    t &= col[v]
+                hit |= t
+            new = hit & ~fired[g]
+            if new:
+                fired[g] |= new
+                for u in cons:
+                    col[u] |= new
+                changed = True
+    return _transpose(col, len(rows))
+
+
+def _groups(pairs: Sequence[tuple[int, int]]) -> list[tuple[list[int], int, int]]:
+    """The pairs grouped by consequent, first-seen order: each group's
+    antecedents, its consequent and the mask of its rows (list indices)."""
+    rows: dict[int, list[int]] = {}
+    for i, (_, c) in enumerate(pairs):
+        rows.setdefault(c, []).append(i)
+    return [
+        ([pairs[i][0] for i in idx], c, sum(1 << i for i in idx))
+        for c, idx in rows.items()
+    ]
 
 
 def right_saturate(formula: HornFormula) -> HornFormula:
     """Replace every consequent by the closure of its antecedent.
 
-    Each antecedent is chained over the list being rewritten.  A rewritten
-    consequent is the closure of its antecedent, so it is entailed and the
-    list stays equivalent to the input: chaining over it gives the input's
-    closures, and each earlier entry fires its whole class at once.
+    One `_saturate` fixpoint closes every antecedent at once.  Row r is the
+    mask that starts as antecedent r; column v is the set of rows that hold
+    variable v.  Every implication may fire in every row, so row r ends as
+    the closure of antecedent r.
     """
-    out = list(formula._masks)
-    for i, (a, _) in enumerate(out):
-        out[i] = (a, _chain(a, out))
-    return HornFormula._of(formula.arity, out, formula.names)
+    pairs = formula._masks
+    ants = [a for a, _ in pairs]
+    full = (1 << len(pairs)) - 1
+    groups = [(g, c, full) for g, c, _ in _groups(pairs)]
+    closed = _saturate(ants, formula.arity, groups)
+    return HornFormula._of(formula.arity, zip(ants, closed), formula.names)
 
 
 def is_right_saturated(formula: HornFormula) -> bool:
@@ -65,18 +140,18 @@ def left_saturate(formula: HornFormula) -> HornFormula:
 def _left_saturate(formula: HornFormula) -> HornFormula:
     """`left_saturate` of a right-saturated formula, without the check.
 
-    The implications of one class share their other-class list, which is
-    built once per class; only one such list is alive at a time.
+    One `_saturate` fixpoint, rows and columns as in `right_saturate`: row r
+    starts as antecedent r and ends as its quasi-closure.  Grouped by
+    consequent, the groups are the classes, and each is barred from its own
+    rows.  Grouping by class matters: consequents are whole classes, so one
+    group per implication would spread and write a large consequent once
+    per implication rather than once per class.
     """
     pairs = formula._masks
-    classes: dict[int, list[int]] = {}
-    for i, (_, c) in enumerate(pairs):
-        classes.setdefault(c, []).append(i)
-    out = list(pairs)
-    for c, members in classes.items():
-        others = [p for p in pairs if p[1] != c]
-        for i in members:
-            out[i] = (_chain(pairs[i][0], others), c)
+    full = (1 << len(pairs)) - 1
+    groups = [(g, c, full & ~own) for g, c, own in _groups(pairs)]
+    quasi = _saturate([a for a, _ in pairs], formula.arity, groups)
+    out = zip(quasi, (c for _, c in pairs))
     return HornFormula._of(formula.arity, out, formula.names)
 
 
@@ -91,12 +166,40 @@ def remove_redundant(formula: HornFormula) -> HornFormula:
     return HornFormula._of(formula.arity, kept, formula.names)
 
 
+def _drop_dominated(formula: HornFormula) -> HornFormula:
+    """`remove_redundant` of a right- and left-saturated formula.
+
+    Lemma: there, `a -> c` is entailed by the other implications iff `a == c`
+    or another implication of class `c` has an antecedent inside `a`.
+    Proof: `a` is closed under every other-class implication (left
+    saturation), so chaining `a` over the others fires only same-class
+    implications with antecedents inside `a`; one of them gives `c`.
+    Dropping an entailed implication keeps both saturations, so the list-
+    order sweep keeps exactly the last copy of each antecedent that differs
+    from its class and is minimal among its class's antecedents.
+    """
+    pairs = formula._masks
+    last = {a: i for i, (a, _) in enumerate(pairs)}
+    classes: dict[int, list[int]] = {}
+    for a, i in last.items():
+        classes.setdefault(pairs[i][1], []).append(a)
+    keep = []
+    for c, ants in classes.items():
+        minimal: list[int] = []
+        for a in sorted(ants, key=int.bit_count):
+            if all(b & a != b for b in minimal):
+                minimal.append(a)
+        keep += (last[a] for a in minimal if a != c)
+    out = [pairs[i] for i in sorted(keep)]
+    return HornFormula._of(formula.arity, out, formula.names)
+
+
 def gd_basis(formula: HornFormula) -> HornFormula:
     """The unique saturated, minimum-size implication basis of the formula.
 
     Equivalent inputs yield the same implication set, whatever their
     ordering or redundancy.  Right saturation makes every consequent the
     class of its antecedent, so left saturation runs without re-checking
-    that.
+    that, and redundancy is the containment test of `_drop_dominated`.
     """
-    return remove_redundant(_left_saturate(right_saturate(formula)))
+    return _drop_dominated(_left_saturate(right_saturate(formula)))

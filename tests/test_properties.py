@@ -9,6 +9,7 @@ reproduces on every run, and the suite costs a few seconds.
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,7 +39,8 @@ from hornlearn import (
     satisfies,
 )
 
-from hornlearn.core import _derive
+from hornlearn.basis import _drop_dominated, _left_saturate, _saturate, _transpose
+from hornlearn.core import _chain, _derive, _quasi
 
 from helpers import brute_closure_mask, brute_equivalent, brute_model_masks
 
@@ -83,6 +85,38 @@ def noisy_formulas(draw):
         tautologies = draw(st.lists(_subset(f.arity, min_size=1), max_size=2))
         imps += [Implication(a, a) for a in tautologies]
     return HornFormula(f.arity, draw(st.permutations(imps)))
+
+
+# Arities on either side of the byte (8) and 64-bit word edges of the
+# bit-matrix transpose behind the batch saturation.
+EDGE_ARITIES = (0, 1, 7, 8, 9, 63, 64, 65, 66)
+
+
+@st.composite
+def edge_formulas(draw):
+    """Formulas of an edge arity over a few drawn variables, so that chains
+    form, with empty antecedents, duplicate pairs and `a -> a` tautologies,
+    in a drawn order; up to about 75 implications, past the 64-row edge."""
+    n = draw(st.sampled_from(EDGE_ARITIES))
+    if not n:
+        return HornFormula(0, [])
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+    var = st.sampled_from(pool)
+    imps = draw(
+        st.lists(
+            st.builds(
+                Implication,
+                st.frozensets(var, max_size=3),
+                st.frozensets(var, min_size=1, max_size=2),
+            ),
+            max_size=70,
+        )
+    )
+    if imps:
+        imps += draw(st.lists(st.sampled_from(imps), max_size=3))
+    tautologies = draw(st.lists(st.frozensets(var, min_size=1), max_size=2))
+    imps += [Implication(a, a) for a in tautologies]
+    return HornFormula(n, draw(st.permutations(imps)))
 
 
 def _mask(variables) -> int:
@@ -229,6 +263,80 @@ class TestGdBasisStages:
     def test_gd_basis_is_the_public_stages_in_order(self, f):
         staged = remove_redundant(left_saturate(right_saturate(f)))
         assert gd_basis(f)._masks == staged._masks
+
+
+BATCH_EXAMPLES = [
+    HornFormula(0, []),
+    HornFormula(65, []),
+    # 65 rows on 65 variables: a cycle through every variable
+    HornFormula(65, [Implication({i}, {(i + 1) % 65}) for i in range(65)]),
+    HornFormula(
+        9,
+        [Implication(set(), {8})] * 2
+        + [Implication({8}, {0, 7}), Implication({0, 7}, {0, 7})],
+    ),
+]
+
+
+def _with_examples(test):
+    for f in BATCH_EXAMPLES:
+        test = example(f)(test)
+    return test
+
+
+class TestBatchSaturation:
+    """`_saturate` closes every row at once; each row must be what chaining
+    its antecedent alone gives.  The groups here hold one implication each,
+    so they check the fixpoint apart from the stages' grouping by class."""
+
+    @PROPERTY
+    @given(st.one_of(noisy_formulas(), edge_formulas()))
+    @_with_examples
+    def test_rows_are_the_closures(self, f):
+        pairs = f._masks
+        ants = [a for a, _ in pairs]
+        full = (1 << len(pairs)) - 1
+        closures = [_chain(a, pairs) for a in ants]
+        groups = [([a], c, full) for a, c in pairs]
+        assert _saturate(ants, f.arity, groups) == closures
+        assert right_saturate(f)._masks == tuple(zip(ants, closures))
+
+    @PROPERTY
+    @given(st.one_of(noisy_formulas(), edge_formulas()))
+    @_with_examples
+    def test_rows_are_the_quasi_closures_of_right_saturated_input(self, f):
+        right = right_saturate(f)
+        ants = [a for a, _ in right._masks]
+        classes = [c for _, c in right._masks]
+        full = (1 << len(ants)) - 1
+        own = {c: sum(1 << i for i, d in enumerate(classes) if d == c) for c in classes}
+        quasi = [_quasi(a, right) for a in ants]
+        groups = [([a], c, full & ~own[c]) for a, c in right._masks]
+        assert _saturate(ants, f.arity, groups) == quasi
+        assert _left_saturate(right)._masks == tuple(zip(quasi, classes))
+
+    @PROPERTY
+    @given(st.one_of(noisy_formulas(), edge_formulas()))
+    @_with_examples
+    def test_drop_dominated_is_remove_redundant_on_saturated_input(self, f):
+        rng = random.Random(len(f) * 100 + f.arity)
+        pairs = list(f._masks)
+        pairs += rng.choices(pairs, k=min(len(pairs), 3))  # more duplicates
+        rng.shuffle(pairs)
+        saturated = _left_saturate(right_saturate(HornFormula._of(f.arity, pairs)))
+        assert _drop_dominated(saturated)._masks == remove_redundant(saturated)._masks
+
+    def test_transpose_is_the_bit_matrix_transpose(self):
+        rng = random.Random(11)
+        for width in EDGE_ARITIES:
+            for count in (0, 1, 7, 8, 9, 64, 65):
+                vectors = [rng.getrandbits(width) for _ in range(count)]
+                cols = _transpose(vectors, width)
+                assert cols == [
+                    sum((v >> j & 1) << i for i, v in enumerate(vectors))
+                    for j in range(width)
+                ]
+                assert _transpose(cols, count) == vectors
 
 
 def _teacher(f: HornFormula, strategy: str, seed: int) -> Teacher:
