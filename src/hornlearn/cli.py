@@ -29,7 +29,7 @@ from .core import ArityError, HornFormula, closure, equivalent, separating_assig
 from .formats import format_formula, parse_formula
 from .generate import GenConfig, random_formula
 from .learners import afp, clh
-from .oracles import STRATEGIES, Teacher
+from .oracles import STRATEGIES, QueryStats, Teacher
 from .reductions import ClosureFromEntailment, StandardFromClosure, lower_bound_demo
 
 ALGORITHMS = ("clh", "afp", "clh-entail", "afp-closure")
@@ -90,13 +90,6 @@ def _run_learner(algo: str, teacher: Teacher):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def _stats_line(stats) -> str:
-    return (
-        f"seq={stats.seq} cq={stats.cq} smq={stats.smq} "
-        f"emq={stats.emq} eeq={stats.eeq}"
-    )
-
-
 def cmd_learn(args) -> int:
     target = _load(args.target)
     teacher = Teacher(target, strategy=args.strategy, seed=args.seed)
@@ -111,7 +104,7 @@ def cmd_learn(args) -> int:
             )
     output = HornFormula._of(target.arity, report.output._masks, target.names)
     print(format_formula(output), end="")
-    print(_stats_line(report.stats))
+    print(" ".join(f"{k}={v}" for k, v in report.stats.as_dict().items()))
     if not equivalent(report.output, target):
         print("error: learned formula failed the equivalence self-check", file=sys.stderr)
         return 1
@@ -147,25 +140,12 @@ def cmd_bench(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-            stats = report.stats
-            rows.append(
-                [
-                    algo,
-                    n,
-                    basis_size,
-                    formula_seed,
-                    stats.seq,
-                    stats.cq,
-                    stats.smq,
-                    stats.emq,
-                    stats.eeq,
-                    f"{elapsed:.6f}",
-                ]
-            )
+            counts = report.stats.as_dict().values()
+            rows.append([algo, n, basis_size, formula_seed, *counts, f"{elapsed:.6f}"])
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
-            ["algo", "n", "m", "seed", "seq", "cq", "smq", "emq", "eeq", "wall_time"]
+            ["algo", "n", "m", "seed", *QueryStats().as_dict(), "wall_time"]
         )
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .core import HornFormula, Implication, _line, default_names
+from .core import HornFormula, _line, _mask_of, default_names
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 _ARROW = "->"
@@ -33,7 +33,7 @@ class FormulaParseError(ValueError):
 def parse_formula(text: str) -> HornFormula:
     names: tuple[str, ...] | None = None
     index: dict[str, int] = {}
-    implications = []
+    pairs = []
     line_no = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -62,15 +62,11 @@ def parse_formula(text: str) -> HornFormula:
         for tok in antecedent + consequent:
             if tok not in index:
                 raise FormulaParseError(line_no, f"unknown token {tok!r}")
-        implications.append(
-            Implication(
-                frozenset(index[t] for t in antecedent),
-                frozenset(index[t] for t in consequent),
-            )
-        )
+        a, c = (_mask_of(index[t] for t in side) for side in (antecedent, consequent))
+        pairs.append((a, c))
     if names is None:
         raise FormulaParseError(line_no + 1, "missing 'vars:' header")
-    return HornFormula(len(names), implications, names)
+    return HornFormula._of(len(names), pairs, names)
 
 
 def format_formula(formula: HornFormula) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import HornFormula, Implication
+from .core import HornFormula, _mask_of
 from .formats import parse_formula
 
 __all__ = ["GenConfig", "random_formula", "example_corpus"]
@@ -56,12 +56,12 @@ def random_formula(config: GenConfig) -> HornFormula:
     alo, ahi = config.antecedent_sizes
     clo, chi = config.consequent_sizes
     variables = range(config.arity)
-    imps = []
+    pairs = []
     for _ in range(config.count):
         ant = rng.sample(variables, rng.randint(alo, ahi))
         con = rng.sample(variables, rng.randint(clo, chi))
-        imps.append(Implication(frozenset(ant), frozenset(con)))
-    return HornFormula(config.arity, imps)
+        pairs.append((_mask_of(ant), _mask_of(con)))
+    return HornFormula._of(config.arity, pairs)
 
 
 # the text of corpus/<name>.horn, without its comments

@@ -49,47 +49,46 @@ MINIMAL_STRATEGY_MAX_ARITY = 12
 
 @dataclass
 class QueryStats:
-    """Monotone per-protocol query counters."""
+    """Monotone per-protocol query counters.
 
-    smq: int = 0
+    The one list of query kinds: the fields are declared in the order in
+    which the CLI prints them and ``hornlearn bench`` writes its columns,
+    and `as_dict` and `copy` follow that order.
+    """
+
     seq: int = 0
     cq: int = 0
+    smq: int = 0
     emq: int = 0
     eeq: int = 0
 
     def copy(self) -> "QueryStats":
-        return QueryStats(self.smq, self.seq, self.cq, self.emq, self.eeq)
+        return QueryStats(**self.__dict__)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "smq": self.smq,
-            "seq": self.seq,
-            "cq": self.cq,
-            "emq": self.emq,
-            "eeq": self.eeq,
-        }
+        return self.__dict__.copy()
 
 
 @dataclass(frozen=True)
-class SeqAnswer:
+class _Answer:
+    """YES (counterexample None) or a counterexample.
+
+    Answers of different subclasses never compare equal, even both YES.
+    """
+
+    counterexample: Assignment | EntailmentClause | None = None
+
+    @property
+    def is_yes(self) -> bool:
+        return self.counterexample is None
+
+
+class SeqAnswer(_Answer):
     """YES (counterexample None) or a separating assignment."""
 
-    counterexample: Assignment | None = None
 
-    @property
-    def is_yes(self) -> bool:
-        return self.counterexample is None
-
-
-@dataclass(frozen=True)
-class EeqAnswer:
+class EeqAnswer(_Answer):
     """YES (counterexample None) or a clause entailed by exactly one side."""
-
-    counterexample: EntailmentClause | None = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.counterexample is None
 
 
 class Teacher:

@@ -166,9 +166,6 @@ class AdapterStats:
 
     calls: list[tuple[str, dict[str, int]]] = field(default_factory=list)
 
-    def record(self, op: str, spent: dict[str, int]) -> None:
-        self.calls.append((op, spent))
-
     def per_call(self, op: str) -> list[dict[str, int]]:
         return [spent for name, spent in self.calls if name == op]
 
@@ -191,7 +188,7 @@ class _Adapter:
         out = fn(self.inner, *args)
         after = self.inner.stats.as_dict()
         spent = {k: after[k] - before[k] for k in after if after[k] != before[k]}
-        self.adapter_stats.record(op, spent)
+        self.adapter_stats.calls.append((op, spent))
         return out
 
 
@@ -265,10 +262,6 @@ class LowerBoundReport:
     @property
     def queries(self) -> int:
         return len(self.steps)
-
-    @property
-    def remaining(self) -> int:
-        return self.steps[-1].remaining if self.steps else self.initial_candidates
 
 
 LOWER_BOUND_STRATEGIES = ("exhaustive", "top-first", "random")

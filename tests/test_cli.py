@@ -81,6 +81,10 @@ class TestFormat:
         with pytest.raises(FormulaParseError, match="duplicate"):
             parse_formula("vars: a a\n")
 
+    def test_invalid_header_token(self):
+        with pytest.raises(FormulaParseError, match="line 1: invalid token 'b-c'"):
+            parse_formula("vars: a b-c\n")
+
     def test_serialize_shape(self, bullet_example):
         assert format_formula(bullet_example) == BULLET_TEXT
 

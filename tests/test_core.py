@@ -43,6 +43,7 @@ class TestAssignment:
     def test_string_round_trip(self):
         for bits in ("", "0", "1", "10110", "0001"):
             assert str(Assignment.from_string(bits)) == bits
+            assert repr(Assignment.from_string(bits)) == f"Assignment({bits!r})"
 
     def test_vars_round_trip(self):
         x = asg("10110")
@@ -70,6 +71,10 @@ class TestAssignment:
             Assignment(4, 2)
         with pytest.raises(ArityError):
             Assignment.from_vars({3}, 2)
+        with pytest.raises(ArityError, match="negative arity"):
+            Assignment(0, -1)
+        with pytest.raises(ValueError, match="not a bit string"):
+            Assignment.from_string("1x0")
 
     def test_extremes(self):
         assert Assignment.zero(3) == asg("000")
@@ -126,6 +131,10 @@ class TestFormulaConstruction:
     def test_indices_checked_against_arity(self):
         with pytest.raises(ArityError):
             HornFormula(2, [imp("c", "a")])
+        with pytest.raises(ArityError, match="negative arity"):
+            HornFormula(-1, [])
+        with pytest.raises(ValueError, match="3 names for arity 2"):
+            HornFormula(2, [], names=("x", "y", "z"))
 
     def test_empty_formula_is_constant_true(self):
         f = HornFormula(3, [])
@@ -135,6 +144,8 @@ class TestFormulaConstruction:
         f = HornFormula(2, [imp("a", "b")])
         g = HornFormula(2, [imp("a", "b")], names=("x", "y"))
         assert f == g
+        assert repr(f) == "HornFormula(2, {a -> b})"
+        assert repr(g) == "HornFormula(2, {x -> y})"
 
 
 class TestClosure:

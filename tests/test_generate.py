@@ -1,3 +1,5 @@
+import zlib
+
 import pytest
 
 from hornlearn import GenConfig, equivalent, gd_basis, random_formula
@@ -16,6 +18,12 @@ class TestRandomFormula:
         a = random_formula(GenConfig(8, 6, seed=1))
         b = random_formula(GenConfig(8, 6, seed=2))
         assert a != b
+
+    def test_pinned_at_bench_scale(self):
+        """The mask pairs drawn for the benchmark's target shape, pinned by
+        the CRC-32 of their repr: generation must keep the seeded stream."""
+        f = random_formula(GenConfig(100, 400, (1, 4), (1, 2), seed=1))
+        assert zlib.crc32(repr(f._masks).encode()) == 4162308711
 
     def test_zero_count(self):
         assert random_formula(GenConfig(4, 0)).implications == ()
@@ -45,6 +53,10 @@ class TestRandomFormula:
             GenConfig(3, 2, consequent_sizes=(2, 1))
         with pytest.raises(ValueError):
             GenConfig(3, -1)
+        with pytest.raises(ValueError, match="negative arity"):
+            GenConfig(-1, 0)
+        with pytest.raises(ValueError, match="impossible with arity 0"):
+            GenConfig(0, 1)
 
 
 class TestExampleCorpus:
@@ -82,3 +94,8 @@ class TestExampleCorpus:
             on_disk = parse_formula((root / f"{name}.horn").read_text())
             assert on_disk == f
             assert on_disk.names == f.names
+        gd, bullet = example_corpus()["gd-example"], example_corpus()["bullet-example"]
+        assert gd._masks == ((16, 8), (6, 8), (10, 4), (12, 2), (9, 22), (20, 3))
+        assert gd.names == tuple("abcde")
+        assert bullet._masks == ((1, 2), (1, 4), (4, 8))
+        assert bullet.names == tuple("abcd")

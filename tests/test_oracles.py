@@ -7,9 +7,12 @@ from hornlearn import (
     AdversarialSmqTeacher,
     ArityError,
     Assignment,
+    EeqAnswer,
     EntailmentClause,
     HornFormula,
     Implication,
+    QueryStats,
+    SeqAnswer,
     Teacher,
     afp,
     clh,
@@ -108,12 +111,27 @@ class TestMembershipAndClosure:
         t.seq(HornFormula(5, []))
         t.eeq(HornFormula(5, []))
         assert t.stats.as_dict() == {"smq": 1, "cq": 1, "emq": 1, "seq": 1, "eeq": 1}
+        # the field order is the order the CLI prints and the CSV columns
+        assert list(QueryStats().as_dict()) == ["seq", "cq", "smq", "emq", "eeq"]
+        snapshot = t.stats.copy()
+        assert snapshot == t.stats and snapshot is not t.stats
+        snapshot.smq += 1
+        snapshot.as_dict()["cq"] = 7
+        assert t.stats.smq == 1 and snapshot.cq == 1
         with pytest.raises(ArityError):
             t.smq(asg("111"))
         with pytest.raises(ArityError):
             t.seq(HornFormula(4, []))
         # failed queries are not counted
         assert t.stats.smq == 1 and t.stats.seq == 1
+
+    def test_answer_kinds_stay_apart(self):
+        assert SeqAnswer(None) != EeqAnswer(None)
+        assert SeqAnswer(None) == SeqAnswer() and SeqAnswer().is_yes
+        no = SeqAnswer(asg("01"))
+        assert repr(no) == "SeqAnswer(counterexample=Assignment('01'))"
+        assert repr(EeqAnswer()) == "EeqAnswer(counterexample=None)"
+        assert not EeqAnswer(EntailmentClause(vs("a"), 1)).is_yes
 
 
 class TestSeq:
@@ -437,6 +455,8 @@ class TestAdversary:
     def test_initial_candidate_count(self):
         assert AdversarialSmqTeacher(3).remaining_candidates == 7
         assert AdversarialSmqTeacher(2).remaining_candidates == 3
+        with pytest.raises(ValueError, match="at least one variable"):
+            AdversarialSmqTeacher(0)
 
     def test_top_query_is_positive_and_free(self):
         adversary = AdversarialSmqTeacher(3)

@@ -9,6 +9,7 @@ from hornlearn import (
     EeqAnswer,
     EntailmentClause,
     EntailmentFromClosure,
+    GenConfig,
     HornFormula,
     Implication,
     ProtocolError,
@@ -27,6 +28,7 @@ from hornlearn import (
     equivalent,
     gd_basis,
     lower_bound_demo,
+    random_formula,
     satisfies,
     seq_from_eeq_emq,
     smq_from_cq,
@@ -227,6 +229,18 @@ class TestAdapters:
             assert spent.get("emq", 0) <= n and "eeq" not in spent
         for spent in adapter.adapter_stats.per_call("seq"):
             assert spent.get("eeq", 0) == 1 and spent.get("emq", 0) <= n
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closure_from_entailment_runs_afp(self, seed):
+        target = random_formula(GenConfig(10, 20, (1, 3), (1, 2), seed=seed))
+        inner = Teacher(target)
+        adapter = ClosureFromEntailment(inner)
+        assert equivalent(afp(adapter).output, target)
+        assert inner.stats.smq == 0 and inner.stats.seq == 0
+        spent_per_smq = adapter.adapter_stats.per_call("smq")
+        assert spent_per_smq
+        for spent in spent_per_smq:
+            assert set(spent) <= {"emq"} and spent.get("emq", 0) <= target.arity
 
     def test_standard_from_closure_runs_afp(self, gd_example):
         inner = Teacher(gd_example)
