@@ -9,114 +9,28 @@ algorithms, :mod:`hornlearn.reductions` the protocol-simulation adapters,
 :mod:`hornlearn.generate` random targets and worked examples, and
 :mod:`hornlearn.formats` / :mod:`hornlearn.cli` the text format and command
 line front end.
+
+Each submodule's ``__all__`` is the one list of its public names.  The
+package star-imports the seven of them, and its ``__all__`` is their union.
 """
 
-from .basis import (
-    gd_basis,
-    is_left_saturated,
-    is_right_saturated,
-    is_saturated,
-    left_saturate,
-    remove_redundant,
-    right_saturate,
-)
-from .core import (
-    ArityError,
-    Assignment,
-    EntailmentClause,
-    HornFormula,
-    Implication,
-    closure,
-    entails,
-    equivalent,
-    is_intersection_closed,
-    models,
-    quasi_closure,
-    satisfies,
-    separating_assignment,
-    subformula_same_class,
-)
-from .formats import FormulaParseError, format_formula, parse_formula
-from .generate import GenConfig, example_corpus, random_formula
-from .learners import LearnerReport, ProtocolError, TraceEvent, afp, clh
-from .oracles import (
-    AdversarialSmqTeacher,
-    EeqAnswer,
-    QueryStats,
-    SeqAnswer,
-    Teacher,
-    family_member,
-)
-from .reductions import (
-    AdapterStats,
-    ClosureFromEntailment,
-    ClosureFromStandard,
-    EntailmentFromClosure,
-    LowerBoundReport,
-    StandardFromClosure,
-    cq_from_emq,
-    cq_from_smq_seq,
-    emq_from_cq,
-    eeq_from_seq_cq,
-    lower_bound_demo,
-    seq_from_eeq_emq,
-    smq_from_cq,
-    smq_from_emq,
-)
+from . import basis, core, formats, generate, learners, oracles, reductions
+from .basis import *
+from .core import *
+from .formats import *
+from .generate import *
+from .learners import *
+from .oracles import *
+from .reductions import *
 
-__all__ = [
-    "AdapterStats",
-    "AdversarialSmqTeacher",
-    "ArityError",
-    "Assignment",
-    "ClosureFromEntailment",
-    "ClosureFromStandard",
-    "EeqAnswer",
-    "EntailmentClause",
-    "EntailmentFromClosure",
-    "FormulaParseError",
-    "GenConfig",
-    "HornFormula",
-    "Implication",
-    "LearnerReport",
-    "LowerBoundReport",
-    "ProtocolError",
-    "QueryStats",
-    "SeqAnswer",
-    "StandardFromClosure",
-    "Teacher",
-    "TraceEvent",
-    "afp",
-    "clh",
-    "closure",
-    "cq_from_emq",
-    "cq_from_smq_seq",
-    "emq_from_cq",
-    "eeq_from_seq_cq",
-    "entails",
-    "equivalent",
-    "example_corpus",
-    "family_member",
-    "format_formula",
-    "gd_basis",
-    "is_intersection_closed",
-    "is_left_saturated",
-    "is_right_saturated",
-    "is_saturated",
-    "left_saturate",
-    "lower_bound_demo",
-    "models",
-    "parse_formula",
-    "quasi_closure",
-    "random_formula",
-    "remove_redundant",
-    "right_saturate",
-    "satisfies",
-    "separating_assignment",
-    "seq_from_eeq_emq",
-    "smq_from_cq",
-    "smq_from_emq",
-    "subformula_same_class",
-]
+__all__ = (
+    basis.__all__
+    + core.__all__
+    + formats.__all__
+    + generate.__all__
+    + learners.__all__
+    + oracles.__all__
+    + reductions.__all__
+)
 
 __version__ = "0.1.0"

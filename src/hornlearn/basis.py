@@ -22,6 +22,16 @@ from collections.abc import Sequence
 
 from .core import HornFormula, _bit_list, _derive, _quasi
 
+__all__ = [
+    "gd_basis",
+    "is_left_saturated",
+    "is_right_saturated",
+    "is_saturated",
+    "left_saturate",
+    "remove_redundant",
+    "right_saturate",
+]
+
 
 def _transpose(vectors: Sequence[int], width: int) -> list[int]:
     """The bit matrix whose rows are `vectors` (`width` bits each), read by

@@ -32,7 +32,14 @@ from .learners import afp, clh
 from .oracles import STRATEGIES, QueryStats, Teacher
 from .reductions import ClosureFromEntailment, StandardFromClosure, lower_bound_demo
 
-ALGORITHMS = ("clh", "afp", "clh-entail", "afp-closure")
+# algorithm name -> learner run against a plain Teacher
+LEARNERS = {
+    "clh": clh,
+    "afp": afp,
+    "clh-entail": lambda t: clh(ClosureFromEntailment(t)),
+    "afp-closure": lambda t: afp(StandardFromClosure(t)),
+}
+ALGORITHMS = tuple(LEARNERS)
 
 
 def _load(path: str) -> HornFormula:
@@ -78,22 +85,10 @@ def cmd_equiv(args) -> int:
     return 1
 
 
-def _run_learner(algo: str, teacher: Teacher):
-    if algo == "clh":
-        return clh(teacher)
-    if algo == "afp":
-        return afp(teacher)
-    if algo == "clh-entail":
-        return clh(ClosureFromEntailment(teacher))
-    if algo == "afp-closure":
-        return afp(StandardFromClosure(teacher))
-    raise ValueError(f"unknown algorithm {algo!r}")
-
-
 def cmd_learn(args) -> int:
     target = _load(args.target)
     teacher = Teacher(target, strategy=args.strategy, seed=args.seed)
-    report = _run_learner(args.algo, teacher)
+    report = LEARNERS[args.algo](teacher)
     if args.trace:
         for event in report.trace:
             where = "" if event.index is None else f"[{event.index}]"
@@ -132,7 +127,7 @@ def cmd_bench(args) -> int:
         for n, formula_seed, target, basis_size in trials:
             teacher = Teacher(target, strategy=args.strategy, seed=args.seed)
             started = time.perf_counter()
-            report = _run_learner(algo, teacher)
+            report = LEARNERS[algo](teacher)
             elapsed = time.perf_counter() - started
             if not equivalent(report.output, target):
                 print(

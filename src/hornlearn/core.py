@@ -29,6 +29,23 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
+__all__ = [
+    "ArityError",
+    "Assignment",
+    "EntailmentClause",
+    "HornFormula",
+    "Implication",
+    "closure",
+    "entails",
+    "equivalent",
+    "is_intersection_closed",
+    "models",
+    "quasi_closure",
+    "satisfies",
+    "separating_assignment",
+    "subformula_same_class",
+]
+
 DEFAULT_MODEL_LIMIT = 20
 
 # a formula's closure memo is cleared when it reaches this many entries
@@ -118,9 +135,14 @@ def _lex_key(mask: int, arity: int) -> int:
     return key
 
 
-def _line(a: int, c: int, names: Sequence[str]) -> str:
-    """The implication `a -> c` in variable names; `-> c` when `a` is empty."""
-    ant, con = (" ".join(names[i] for i in _bit_list(m)) for m in (a, c))
+def _line(
+    a: Iterable[int], c: Iterable[int], names: Sequence[str] | None = None
+) -> str:
+    """The implication `a -> c`, each side given as ascending variable
+    indices, written in variable names, or as the indices when `names` is
+    None; `-> c` when `a` is empty."""
+    name = str if names is None else names.__getitem__
+    ant, con = (" ".join(map(name, vs)) for vs in (a, c))
     return f"{ant} -> {con}".strip()
 
 
@@ -219,9 +241,7 @@ class Implication:
             raise ValueError("implication consequent must be nonempty")
 
     def __str__(self) -> str:
-        ant = " ".join(map(str, sorted(self.antecedent)))
-        con = " ".join(map(str, sorted(self.consequent)))
-        return f"{ant} -> {con}".strip()
+        return _line(sorted(self.antecedent), sorted(self.consequent))
 
     __repr__ = __str__
 
@@ -254,8 +274,7 @@ class EntailmentClause:
         return frozenset(_bit_list(self._mask))
 
     def __str__(self) -> str:
-        ant = " ".join(map(str, _bit_list(self._mask)))
-        return f"{ant} -> {self.head}".strip()
+        return _line(_bit_list(self._mask), [self.head])
 
     __repr__ = __str__
 
@@ -344,7 +363,8 @@ class HornFormula:
 
     def __str__(self) -> str:
         names = self.names or default_names(self.arity)
-        return "{" + ", ".join(_line(a, c, names) for a, c in self._masks) + "}"
+        lines = (_line(_bit_list(a), _bit_list(c), names) for a, c in self._masks)
+        return "{" + ", ".join(lines) + "}"
 
     def __repr__(self) -> str:
         return f"HornFormula({self.arity}, {str(self)})"

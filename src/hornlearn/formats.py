@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import re
 
-from .core import HornFormula, _line, _mask_of, default_names
+from .core import HornFormula, _bit_list, _line, _mask_of, default_names
+
+__all__ = ["FormulaParseError", "format_formula", "parse_formula"]
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 _ARROW = "->"
@@ -72,5 +74,5 @@ def parse_formula(text: str) -> HornFormula:
 def format_formula(formula: HornFormula) -> str:
     names = formula.names or default_names(formula.arity)
     lines = ["vars: " + " ".join(names)]
-    lines += [_line(a, c, names) for a, c in formula._masks]
+    lines += [_line(_bit_list(a), _bit_list(c), names) for a, c in formula._masks]
     return "\n".join(lines) + "\n"

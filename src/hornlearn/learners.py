@@ -25,9 +25,20 @@ from dataclasses import dataclass
 from .core import Assignment, HornFormula, _check_length, satisfies
 from .oracles import QueryStats
 
+__all__ = ["LearnerReport", "ProtocolError", "TraceEvent", "afp", "clh"]
+
 
 class ProtocolError(RuntimeError):
     """The teacher's answers broke the promises of its query protocol."""
+
+
+def _check_above(closed: Assignment, y: Assignment) -> None:
+    """Raise ProtocolError unless the closure answer `closed` lies above `y`."""
+    if closed.n != y.n or y.mask & ~closed.mask:
+        raise ProtocolError(
+            f"closure query returned {closed} for {y}; a closure must lie "
+            "above its query"
+        )
 
 
 @dataclass(frozen=True)
@@ -64,8 +75,9 @@ def clh(teacher) -> LearnerReport:
     hypothesis is the GD basis of the target.
 
     Counterexamples must be negative (the hypothesis is always entailed by
-    the target), so each lies strictly below its closure; a teacher that
-    breaks either promise raises :class:`ProtocolError`.  Every round
+    the target), so each lies strictly below its closure, and every closure
+    answer must lie above its query; a teacher that breaks one of these
+    promises raises :class:`ProtocolError`.  Every round
     appends an entry or strictly shrinks one, and an entry shrinks at most
     n times, so a run ending with |N| entries makes at most (n+1)|N|+1
     equivalence queries.
@@ -75,8 +87,10 @@ def clh(teacher) -> LearnerReport:
     trace: list[TraceEvent] = []
 
     def closure(y: int) -> int:
-        closed = teacher.cq(Assignment(y, n))
+        query = Assignment(y, n)
+        closed = teacher.cq(query)
         _check_length(closed, n)
+        _check_above(closed, query)
         return closed.mask
 
     while True:
@@ -94,16 +108,16 @@ def clh(teacher) -> LearnerReport:
             y = x.mask & y_i
             if y != y_i:
                 closed = closure(y)
-                if closed != y and closed & y == y:
+                if closed != y:
                     pairs[i] = (y, closed)
                     trace.append(TraceEvent("refine", i, current, x))
                     break
         else:
             closed = closure(x.mask)
-            if closed == x.mask or closed & x.mask != x.mask:
+            if closed == x.mask:
                 raise ProtocolError(
-                    f"closure query returned {Assignment(closed, n)} for the "
-                    f"negative counterexample {x}, which must lie strictly below it"
+                    f"closure query returned {x} for the negative "
+                    f"counterexample {x}, which must lie strictly below it"
                 )
             pairs.append((x.mask, closed))
             trace.append(TraceEvent("append", len(pairs) - 1, current, x))

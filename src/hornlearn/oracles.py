@@ -41,6 +41,15 @@ from .core import (
     satisfies,
 )
 
+__all__ = [
+    "AdversarialSmqTeacher",
+    "EeqAnswer",
+    "QueryStats",
+    "SeqAnswer",
+    "Teacher",
+    "family_member",
+]
+
 STRATEGIES = ("first", "random", "minimal")
 
 # the "minimal" strategy enumerates candidate clauses; keep it to small arities

@@ -40,8 +40,25 @@ from .core import (
     _lex_key,
     _low_bit,
 )
-from .learners import ProtocolError, afp
+from .learners import ProtocolError, _check_above, afp
 from .oracles import AdversarialSmqTeacher, EeqAnswer, SeqAnswer
+
+__all__ = [
+    "AdapterStats",
+    "ClosureFromEntailment",
+    "ClosureFromStandard",
+    "EntailmentFromClosure",
+    "LowerBoundReport",
+    "StandardFromClosure",
+    "cq_from_emq",
+    "cq_from_smq_seq",
+    "emq_from_cq",
+    "eeq_from_seq_cq",
+    "lower_bound_demo",
+    "seq_from_eeq_emq",
+    "smq_from_cq",
+    "smq_from_emq",
+]
 
 
 def cq_from_emq(teacher, y: Assignment) -> Assignment:
@@ -97,11 +114,7 @@ def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> SeqAnswer:
 def _cq_above(teacher, y: Assignment) -> Assignment:
     """The inner closure of `y`, checked to lie above `y`."""
     closed = teacher.cq(y)
-    if closed.n != y.n or y.mask & ~closed.mask:
-        raise ProtocolError(
-            f"closure query returned {closed} for {y}; a closure must lie "
-            "above its query"
-        )
+    _check_above(closed, y)
     return closed
 
 
@@ -183,13 +196,18 @@ class _Adapter:
     def stats(self):
         return self.inner.stats
 
-    def _run(self, op, fn, *args):
-        before = self.inner.stats.as_dict()
-        out = fn(self.inner, *args)
-        after = self.inner.stats.as_dict()
-        spent = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+    def _run(self, op, fn, query):
+        stats = self.inner.stats
+        before = stats.as_dict()
+        out = fn(self.inner, query)
+        spent = {k: v - before[k] for k, v in stats.__dict__.items() if v != before[k]}
         self.adapter_stats.calls.append((op, spent))
         return out
+
+
+def _seq(inner, hypothesis: HornFormula) -> SeqAnswer:
+    """Standard equivalence passed through to a teacher that answers it."""
+    return inner.seq(hypothesis)
 
 
 class ClosureFromEntailment(_Adapter):
@@ -228,7 +246,7 @@ class StandardFromClosure(_Adapter):
         return self._run("smq", smq_from_cq, x)
 
     def seq(self, hypothesis: HornFormula) -> SeqAnswer:
-        return self._run("seq", lambda inner, h: inner.seq(h), hypothesis)
+        return self._run("seq", _seq, hypothesis)
 
 
 class ClosureFromStandard(_Adapter):
@@ -238,7 +256,7 @@ class ClosureFromStandard(_Adapter):
         return self._run("cq", cq_from_smq_seq, y)
 
     def seq(self, hypothesis: HornFormula) -> SeqAnswer:
-        return self._run("seq", lambda inner, h: inner.seq(h), hypothesis)
+        return self._run("seq", _seq, hypothesis)
 
 
 @dataclass(frozen=True)
@@ -315,22 +333,3 @@ def lower_bound_demo(
         invariant_held=invariant_held,
     )
 
-
-__all__ = [
-    "AdapterStats",
-    "ClosureFromEntailment",
-    "ClosureFromStandard",
-    "EntailmentFromClosure",
-    "LowerBoundReport",
-    "LowerBoundStep",
-    "LOWER_BOUND_STRATEGIES",
-    "StandardFromClosure",
-    "cq_from_emq",
-    "cq_from_smq_seq",
-    "emq_from_cq",
-    "eeq_from_seq_cq",
-    "lower_bound_demo",
-    "seq_from_eeq_emq",
-    "smq_from_cq",
-    "smq_from_emq",
-]

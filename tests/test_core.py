@@ -147,6 +147,24 @@ class TestFormulaConstruction:
         assert repr(f) == "HornFormula(2, {a -> b})"
         assert repr(g) == "HornFormula(2, {x -> y})"
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (Implication(frozenset(), frozenset({1})), "-> 1"),
+            (Implication(frozenset({0, 2, 4}), frozenset({1, 3})), "0 2 4 -> 1 3"),
+            # both sets iterate in descending order: [33, 10, 2], [8, 1]
+            (Implication(frozenset([33, 10, 2]), frozenset([8, 1])), "2 10 33 -> 1 8"),
+            # no formula accepts it, but it still prints
+            (Implication(frozenset({-1}), frozenset({0})), "-1 -> 0"),
+            (EntailmentClause([], 1), "-> 1"),
+            (EntailmentClause({0, 2, 4}, 3), "0 2 4 -> 3"),
+            (EntailmentClause(frozenset([33, 10, 2]), 10), "2 10 33 -> 10"),
+        ],
+    )
+    def test_str_and_repr_write_ascending_variable_indices(self, value, text):
+        assert str(value) == text
+        assert repr(value) == text
+
 
 class TestClosure:
     def test_six_antecedent_classes(self, gd_example):

@@ -162,6 +162,32 @@ class TestClh:
         with pytest.raises(ProtocolError, match="closure"):
             clh(ClosedCounterexampleTeacher())
 
+    def test_refine_closure_not_above_its_query_aborts(self):
+        class BesideClosureTeacher:
+            # `110` is appended honestly; `101` then refines it to `100`,
+            # whose closure query gets `010`, which does not contain `100`;
+            # says YES once out of script
+            arity = 3
+
+            def __init__(self):
+                self.stats = QueryStats()
+
+            def seq(self, hypothesis):
+                self.stats.seq += 1
+                script = ["110", "101"]
+                if self.stats.seq > len(script):
+                    return SeqAnswer()
+                return SeqAnswer(asg(script[self.stats.seq - 1]))
+
+            def cq(self, y):
+                self.stats.cq += 1
+                return asg("010") if y == asg("100") else Assignment.full(3)
+
+        teacher = BesideClosureTeacher()
+        with pytest.raises(ProtocolError, match="must lie above its query"):
+            clh(teacher)
+        assert (teacher.stats.seq, teacher.stats.cq) == (2, 2)
+
     @pytest.mark.parametrize(
         "counterexamples",
         [
