@@ -151,9 +151,9 @@ def cmd_lowerbound(args) -> int:
     report = lower_bound_demo(args.n)
     print(f"candidates: {report.initial_candidates}")
     stride = max(1, report.queries // 16)
-    for i, step in enumerate(report.steps, start=1):
+    for i, remaining in enumerate(report.remaining, start=1):
         if i % stride == 0 or i == report.queries:
-            print(f"queries={i} remaining={step.remaining}")
+            print(f"queries={i} remaining={remaining}")
     if report.determined:
         print(
             "determined the closure of the all-zeros assignment "

@@ -9,7 +9,8 @@ Grammar::
 Tokens are nonempty runs of letters, digits and underscores and must all be
 declared in the header; an empty antecedent is written ``-> tok ...``.  The
 serializer emits the header, then implications in list order with single
-spaces, and parse(serialize(f)) == f for every valid formula.
+spaces, and parse(serialize(f)) == f, name table included, for every valid
+formula; it raises ValueError on a name table that the header rule rejects.
 """
 
 from __future__ import annotations
@@ -32,6 +33,19 @@ class FormulaParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
+def _header_index(names) -> dict[str, int]:
+    """Position of each name of a `vars:` header; raises ValueError on a
+    name that is not a token or that repeats."""
+    index: dict[str, int] = {}
+    for tok in names:
+        if not _TOKEN.match(tok):
+            raise ValueError(f"invalid token {tok!r}")
+        if tok in index:
+            raise ValueError(f"duplicate token {tok!r}")
+        index[tok] = len(index)
+    return index
+
+
 def parse_formula(text: str) -> HornFormula:
     names: tuple[str, ...] | None = None
     index: dict[str, int] = {}
@@ -44,14 +58,11 @@ def parse_formula(text: str) -> HornFormula:
         if names is None:
             if not line.startswith("vars:"):
                 raise FormulaParseError(line_no, "expected a 'vars:' header line")
-            tokens = line[len("vars:") :].split()
-            for tok in tokens:
-                if not _TOKEN.match(tok):
-                    raise FormulaParseError(line_no, f"invalid token {tok!r}")
-                if tok in index:
-                    raise FormulaParseError(line_no, f"duplicate token {tok!r}")
-                index[tok] = len(index)
-            names = tuple(tokens)
+            names = tuple(line[len("vars:") :].split())
+            try:
+                index = _header_index(names)
+            except ValueError as exc:
+                raise FormulaParseError(line_no, str(exc)) from None
             continue
         tokens = line.split()
         if _ARROW not in tokens:
@@ -73,6 +84,7 @@ def parse_formula(text: str) -> HornFormula:
 
 def format_formula(formula: HornFormula) -> str:
     names = formula.names or default_names(formula.arity)
+    _header_index(names)
     lines = ["vars: " + " ".join(names)]
     lines += [_line(_bit_list(a), _bit_list(c), names) for a, c in formula._masks]
     return "\n".join(lines) + "\n"

@@ -22,13 +22,12 @@ A simulation checks the inner teacher's promises that it can check without
 another inner query (a closure lies above its query, a counterexample
 separates) and raises :class:`ProtocolError` when one breaks.
 There is no polynomial simulation of closures from memberships alone:
-:func:`lower_bound_demo` plays any membership-only strategy against an
-adversary that forces exponentially many queries.
+against an adversary that rules out at most one candidate target per query,
+:func:`lower_bound_demo` needs exponentially many membership queries.
 """
 
 from __future__ import annotations
 
-import random
 import weakref
 from dataclasses import dataclass, field
 
@@ -37,7 +36,6 @@ from .core import (
     EntailmentClause,
     HornFormula,
     _check_length,
-    _lex_key,
     _low_bit,
 )
 from .learners import ProtocolError, _check_above, afp
@@ -260,76 +258,44 @@ class ClosureFromStandard(_Adapter):
 
 
 @dataclass(frozen=True)
-class LowerBoundStep:
-    query: Assignment
-    answer: bool
-    remaining: int
-
-
-@dataclass(frozen=True)
 class LowerBoundReport:
-    """Transcript of a membership-only attempt to pin down a closure."""
+    """A membership-only attempt to pin down a closure: the number of
+    candidate targets left after each query."""
 
-    n: int
-    strategy: str
     initial_candidates: int
-    steps: tuple[LowerBoundStep, ...]
+    remaining: tuple[int, ...]
     determined: bool
     invariant_held: bool
 
     @property
     def queries(self) -> int:
-        return len(self.steps)
+        return len(self.remaining)
 
 
-LOWER_BOUND_STRATEGIES = ("exhaustive", "top-first", "random")
-
-
-def lower_bound_demo(
-    n: int, strategy: str = "exhaustive", seed: int | None = None
-) -> LowerBoundReport:
+def lower_bound_demo(n: int) -> LowerBoundReport:
     """Try to determine the closure of the all-zeros assignment with
     membership queries only, against the adversarial teacher.
 
-    The closure is determined once a single candidate target remains, which
+    Asks every assignment below the top in ascending mask order.  The
+    closure is determined once a single candidate target remains, which
     requires ruling out all but one of the 2**n - 1 candidates; the report
     also tracks the invariant `remaining >= initial - queries` at each step.
     """
     if not 2 <= n <= 16:
         raise ValueError("supported arities are 2..16")
-    if strategy not in LOWER_BOUND_STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}, pick one of {LOWER_BOUND_STRATEGIES}"
-        )
     adversary = AdversarialSmqTeacher(n)
-    full = (1 << n) - 1
-    below_top = [
-        Assignment(mask, n)
-        for mask in sorted(range(full), key=lambda m: _lex_key(m, n))
-    ]
-    if strategy == "top-first":
-        order = [Assignment.full(n)] + below_top
-    elif strategy == "random":
-        order = list(below_top)
-        random.Random(seed).shuffle(order)
-    else:
-        order = below_top
-    steps = []
+    remaining = []
     invariant_held = True
-    for x in order:
+    for mask in range((1 << n) - 1):
         if adversary.remaining_candidates == 1:
             break
-        answer = adversary.smq(x)
-        remaining = adversary.remaining_candidates
-        steps.append(LowerBoundStep(x, answer, remaining))
-        if remaining < adversary.initial_candidates - adversary.queries:
+        adversary.smq(Assignment(mask, n))
+        remaining.append(adversary.remaining_candidates)
+        if remaining[-1] < adversary.initial_candidates - adversary.queries:
             invariant_held = False
     return LowerBoundReport(
-        n=n,
-        strategy=strategy,
         initial_candidates=adversary.initial_candidates,
-        steps=tuple(steps),
+        remaining=tuple(remaining),
         determined=adversary.remaining_candidates == 1,
         invariant_held=invariant_held,
     )
-

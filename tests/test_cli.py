@@ -1,9 +1,10 @@
+import dataclasses
 import random
 import re
 
 import pytest
 
-from hornlearn import HornFormula, Implication, format_formula, parse_formula
+from hornlearn import HornFormula, Implication, clh, format_formula, parse_formula
 from hornlearn.cli import main
 from hornlearn.formats import FormulaParseError
 
@@ -104,6 +105,27 @@ class TestFormat:
             )
             assert parse_formula(format_formula(f)) == f
 
+    def test_round_trip_keeps_names(self):
+        f = HornFormula(3, [Implication({2}, {0, 1})], names=("x_1", "Y", "9z"))
+        back = parse_formula(format_formula(f))
+        assert back == f
+        assert back.names == f.names
+
+    @pytest.mark.parametrize(
+        "names, bad",
+        [
+            (("a b", "c"), "invalid token 'a b'"),
+            (("", "y"), "invalid token ''"),
+            (("->", "c"), "invalid token '->'"),
+            (("x#", "y"), "invalid token 'x#'"),
+            (("a", "a"), "duplicate token 'a'"),
+        ],
+    )
+    def test_serialize_rejects_unreadable_names(self, names, bad):
+        f = HornFormula(2, [Implication({0}, {1})], names=names)
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            format_formula(f)
+
 
 class TestCommands:
     def test_gd(self, bullet_file, capsys):
@@ -202,6 +224,38 @@ class TestCommands:
         assert rc == 0
 
 
+def _inequivalent_learner(teacher):
+    """A runner that learns, then reports the empty formula instead."""
+    report = clh(teacher)
+    return dataclasses.replace(report, output=HornFormula(teacher.arity, []))
+
+
+class TestSelfCheck:
+    def test_learn_fails_on_inequivalent_output(self, gd_file, monkeypatch, capsys):
+        from hornlearn import cli
+
+        monkeypatch.setitem(cli.LEARNERS, "clh", _inequivalent_learner)
+        assert main(["learn", "--algo", "clh", "--target", gd_file]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: learned formula failed the equivalence self-check\n"
+
+    def test_bench_fails_without_writing_csv(self, tmp_path, monkeypatch, capsys):
+        from hornlearn import cli
+
+        monkeypatch.setitem(cli.LEARNERS, "clh", _inequivalent_learner)
+        out = tmp_path / "runs.csv"
+        assert main(
+            ["bench", "--algos", "clh", "--n-range", "3:4", "--m-range", "1:3",
+             "--trials", "2", "--seed", "1", "--out", str(out)]
+        ) == 1
+        captured = capsys.readouterr()
+        assert re.fullmatch(
+            r"error: clh failed the self-check on seed \d+\n", captured.err
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestBench:
     def test_csv_schema_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -242,6 +296,23 @@ class TestLowerBound:
         assert "candidates: 15" in out
         assert "after 14 queries" in out
         assert "invariant held" in out
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_full_output_pinned(self, n, capsys):
+        initial = 2**n - 1
+        steps = "".join(
+            f"queries={i} remaining={initial - i}\n" for i in range(1, initial)
+        )
+        assert main(["lowerbound", "--n", str(n)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (
+            f"candidates: {initial}\n"
+            + steps
+            + "determined the closure of the all-zeros assignment "
+            f"after {initial - 1} queries\n"
+            "invariant held: remaining >= candidates - queries at every step\n"
+        )
+        assert err == ""
 
     def test_arity_validation(self, capsys):
         assert main(["lowerbound", "--n", "40"]) == 2

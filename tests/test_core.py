@@ -61,6 +61,8 @@ class TestAssignment:
         x, y = asg("0110"), asg("1010")
         assert x & y == asg("0010")
         assert x & y <= x and x & y <= y
+        assert x | y == asg("1110")
+        assert x <= x | y and y <= x | y
 
     def test_arity_checks(self):
         with pytest.raises(ArityError):
@@ -164,6 +166,7 @@ class TestFormulaConstruction:
     def test_str_and_repr_write_ascending_variable_indices(self, value, text):
         assert str(value) == text
         assert repr(value) == text
+        assert value.antecedent == {int(v) for v in text.split("->")[0].split()}
 
 
 class TestClosure:

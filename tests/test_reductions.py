@@ -355,21 +355,11 @@ class TestLowerBoundDemo:
         assert report.initial_candidates == 7
         assert report.queries == 2**3 - 2
         assert report.determined and report.invariant_held
+        # every query below the top leaves exactly one candidate fewer
+        assert report.remaining == tuple(range(6, 0, -1))
 
     def test_small_arity_count(self):
         assert lower_bound_demo(2).initial_candidates == 3
-
-    def test_top_first_wastes_a_query(self):
-        report = lower_bound_demo(4, strategy="top-first")
-        assert report.steps[0].answer is True
-        assert report.steps[0].remaining == report.initial_candidates
-        assert report.queries == 2**4 - 1  # the wasted query plus the scan
-
-    def test_random_strategy_seeded(self):
-        a = lower_bound_demo(4, strategy="random", seed=5)
-        b = lower_bound_demo(4, strategy="random", seed=5)
-        assert [s.query for s in a.steps] == [s.query for s in b.steps]
-        assert a.determined and a.invariant_held
 
     def test_closure_undetermined_while_two_candidates_remain(self):
         from hornlearn import AdversarialSmqTeacher, family_member
@@ -395,5 +385,3 @@ class TestLowerBoundDemo:
             lower_bound_demo(1)
         with pytest.raises(ValueError):
             lower_bound_demo(17)
-        with pytest.raises(ValueError):
-            lower_bound_demo(4, strategy="psychic")
