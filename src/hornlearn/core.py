@@ -159,7 +159,8 @@ class Assignment:
 
     `mask` holds variable i at bit position i.  The string form writes
     variable 0 leftmost, so ``str(Assignment.from_string("10110"))`` round
-    trips.  Comparisons implement the partial (not total) bitwise order.
+    trips.  Comparisons implement the partial (not total) bitwise order;
+    ``>=`` and ``>`` are Python's reflections of ``<=`` and ``<``.
     """
 
     mask: int
@@ -203,12 +204,6 @@ class Assignment:
 
     def __lt__(self, other: "Assignment") -> bool:
         return self <= other and self.mask != other.mask
-
-    def __ge__(self, other: "Assignment") -> bool:
-        return other <= self
-
-    def __gt__(self, other: "Assignment") -> bool:
-        return other < self
 
     def bits(self) -> tuple[int, ...]:
         return tuple((self.mask >> i) & 1 for i in range(self.n))

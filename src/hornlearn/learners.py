@@ -13,7 +13,8 @@ the paper's hyp(N) = {y -> y* : y in N}.  An :class:`Assignment` is built
 only where a teacher query needs one.
 
 Both take any teacher-shaped object: ``clh`` needs ``cq``/``seq``, ``afp``
-needs ``smq``/``seq``, plus ``arity`` and ``stats``.  Protocol-simulation
+needs ``smq``/``seq``, plus ``arity`` and ``stats``.  An equivalence answer
+is the counterexample itself, or None for YES.  Protocol-simulation
 adapters from :mod:`hornlearn.reductions` satisfy the same shape, so the
 learners run unchanged against other query models.
 """
@@ -95,10 +96,9 @@ def clh(teacher) -> LearnerReport:
 
     while True:
         current = HornFormula._of(n, pairs)
-        answer = teacher.seq(current)
-        if answer.is_yes:
+        x = teacher.seq(current)
+        if x is None:
             return LearnerReport(current, teacher.stats.copy(), tuple(trace))
-        x = answer.counterexample
         if not satisfies(x, current):
             raise ProtocolError(
                 f"positive counterexample {x}: the hypothesis is entailed by the "
@@ -154,10 +154,9 @@ def afp(teacher) -> LearnerReport:
 
     while True:
         current = HornFormula._of(n, pairs)
-        answer = teacher.seq(current)
-        if answer.is_yes:
+        x = teacher.seq(current)
+        if x is None:
             return LearnerReport(current, teacher.stats.copy(), tuple(trace))
-        x = answer.counterexample
         if satisfies(x, current):
             # satisfies the hypothesis, hence falsifies the target: negative
             for i, (y_i, _) in enumerate(pairs):

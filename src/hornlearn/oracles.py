@@ -3,13 +3,13 @@
 Query kinds, named by their classic protocol ids:
 
 * ``smq`` - standard membership: does this assignment satisfy the target?
-* ``seq`` - standard equivalence: YES, or an assignment satisfying exactly
-  one of hypothesis and target.
+* ``seq`` - standard equivalence: an assignment satisfying exactly one of
+  hypothesis and target, or None for YES.
 * ``cq``  - closure: the least superset of the queried assignment that
   satisfies the target.
 * ``emq`` - entailment membership: does the target entail this clause?
-* ``eeq`` - entailment equivalence: YES, or a clause entailed by exactly one
-  of hypothesis and target.
+* ``eeq`` - entailment equivalence: a clause entailed by exactly one of
+  hypothesis and target, or None for YES.
 
 A :class:`Teacher` wraps an immutable target formula with per-protocol
 answer logic, query counters and a counterexample-selection strategy.
@@ -43,9 +43,7 @@ from .core import (
 
 __all__ = [
     "AdversarialSmqTeacher",
-    "EeqAnswer",
     "QueryStats",
-    "SeqAnswer",
     "Teacher",
     "family_member",
 ]
@@ -76,28 +74,6 @@ class QueryStats:
 
     def as_dict(self) -> dict[str, int]:
         return self.__dict__.copy()
-
-
-@dataclass(frozen=True)
-class _Answer:
-    """YES (counterexample None) or a counterexample.
-
-    Answers of different subclasses never compare equal, even both YES.
-    """
-
-    counterexample: Assignment | EntailmentClause | None = None
-
-    @property
-    def is_yes(self) -> bool:
-        return self.counterexample is None
-
-
-class SeqAnswer(_Answer):
-    """YES (counterexample None) or a separating assignment."""
-
-
-class EeqAnswer(_Answer):
-    """YES (counterexample None) or a clause entailed by exactly one side."""
 
 
 class Teacher:
@@ -167,26 +143,26 @@ class Teacher:
         self.stats.emq += 1
         return answer
 
-    def seq(self, hypothesis: HornFormula) -> SeqAnswer:
+    def seq(self, hypothesis: HornFormula) -> Assignment | None:
         _check_same_arity(self.target, hypothesis)
         self.stats.seq += 1
         found = self._counterexample(hypothesis)
-        return SeqAnswer(None if found is None else Assignment(found[1], self.arity))
+        return None if found is None else Assignment(found[1], self.arity)
 
-    def eeq(self, hypothesis: HornFormula) -> EeqAnswer:
+    def eeq(self, hypothesis: HornFormula) -> EntailmentClause | None:
         _check_same_arity(self.target, hypothesis)
         self.stats.eeq += 1
         if self.strategy == "minimal":
-            return EeqAnswer(self._minimal_clause(hypothesis))
+            return self._minimal_clause(hypothesis)
         found = self._counterexample(hypothesis)
         if found is None:
-            return EeqAnswer(None)
+            return None
         a, _, gap = found
         if self.strategy == "random":
             head = self._rng.choice(_bit_list(gap))
         else:
             head = _low_bit(gap)
-        return EeqAnswer(EntailmentClause._of(a, head))
+        return EntailmentClause._of(a, head)
 
     def _counterexample(self, hyp: HornFormula) -> tuple[int, int, int] | None:
         """One `(a, w, gap)` of `core._gaps`, picked by the strategy.

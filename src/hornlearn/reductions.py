@@ -35,11 +35,12 @@ from .core import (
     Assignment,
     EntailmentClause,
     HornFormula,
+    _check_fits,
     _check_length,
     _low_bit,
 )
 from .learners import ProtocolError, _check_above, afp
-from .oracles import AdversarialSmqTeacher, EeqAnswer, SeqAnswer
+from .oracles import AdversarialSmqTeacher
 
 __all__ = [
     "AdapterStats",
@@ -81,18 +82,18 @@ def smq_from_emq(teacher, x: Assignment) -> bool:
     return True
 
 
-def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> SeqAnswer:
+def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> Assignment | None:
     """Standard equivalence from one entailment equivalence query.
 
     A counterexample clause entailed by the target becomes the hypothesis
     closure of its antecedent (a negative assignment, no extra queries); one
     entailed by the hypothesis becomes the target closure of its antecedent,
-    rebuilt from entailment memberships (a positive assignment).
+    rebuilt from entailment memberships (a positive assignment).  YES (None)
+    passes through.
     """
-    answer = teacher.eeq(hypothesis)
-    if answer.is_yes:
-        return SeqAnswer(None)
-    clause = answer.counterexample
+    clause = teacher.eeq(hypothesis)
+    if clause is None:
+        return None
     n = hypothesis.arity
     start = Assignment(clause._mask, n)
     under_hyp = hypothesis.close(start.mask)
@@ -105,8 +106,8 @@ def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> SeqAnswer:
                 "and, by entailment membership, by the target; it must be "
                 "entailed by exactly one"
             )
-        return SeqAnswer(closed)
-    return SeqAnswer(Assignment(under_hyp, n))
+        return closed
+    return Assignment(under_hyp, n)
 
 
 def _cq_above(teacher, y: Assignment) -> Assignment:
@@ -117,8 +118,10 @@ def _cq_above(teacher, y: Assignment) -> Assignment:
 
 
 def emq_from_cq(teacher, clause: EntailmentClause) -> bool:
-    """Entailment membership from a single closure query."""
+    """Entailment membership from a single closure query, asked only for a
+    clause that fits the arity."""
     n = teacher.arity
+    _check_fits(clause._mask | 1 << clause.head, n)
     closed = _cq_above(teacher, Assignment(clause._mask, n))
     return bool(closed.mask >> clause.head & 1)
 
@@ -128,18 +131,18 @@ def smq_from_cq(teacher, x: Assignment) -> bool:
     return _cq_above(teacher, x) == x
 
 
-def eeq_from_seq_cq(teacher, hypothesis: HornFormula) -> EeqAnswer:
+def eeq_from_seq_cq(teacher, hypothesis: HornFormula) -> EntailmentClause | None:
     """Entailment equivalence from one standard equivalence plus one closure.
 
     The closure of the counterexample decides its sign.  A negative
     assignment x yields the clause `ones(x) -> v` for the lowest variable v
     gained by its target closure; a positive x yields `ones(x) -> v` for the
-    lowest v gained by forward chaining under the hypothesis.
+    lowest v gained by forward chaining under the hypothesis.  YES (None)
+    passes through.
     """
-    answer = teacher.seq(hypothesis)
-    if answer.is_yes:
-        return EeqAnswer(None)
-    x = answer.counterexample
+    x = teacher.seq(hypothesis)
+    if x is None:
+        return None
     closed = _cq_above(teacher, x)
     if x < closed:
         gained = closed.mask & ~x.mask
@@ -150,7 +153,7 @@ def eeq_from_seq_cq(teacher, hypothesis: HornFormula) -> EeqAnswer:
             f"counterexample {x} satisfies both the target and the "
             "hypothesis; it must satisfy exactly one"
         )
-    return EeqAnswer(EntailmentClause._of(x.mask, _low_bit(gained)))
+    return EntailmentClause._of(x.mask, _low_bit(gained))
 
 
 _LEARNED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -163,11 +166,11 @@ def cq_from_smq_seq(teacher, y: Assignment) -> Assignment:
     cached per teacher instance and later calls chain locally over it, so
     query counters reflect a single learning run.
     """
+    _check_length(y, teacher.arity)
     learned = _LEARNED.get(teacher)
     if learned is None:
         learned = afp(teacher).output
         _LEARNED[teacher] = learned
-    _check_length(y, learned.arity)
     return Assignment(learned.close(y.mask), learned.arity)
 
 
@@ -203,7 +206,7 @@ class _Adapter:
         return out
 
 
-def _seq(inner, hypothesis: HornFormula) -> SeqAnswer:
+def _seq(inner, hypothesis: HornFormula) -> Assignment | None:
     """Standard equivalence passed through to a teacher that answers it."""
     return inner.seq(hypothesis)
 
@@ -217,7 +220,7 @@ class ClosureFromEntailment(_Adapter):
     def smq(self, x: Assignment) -> bool:
         return self._run("smq", smq_from_emq, x)
 
-    def seq(self, hypothesis: HornFormula) -> SeqAnswer:
+    def seq(self, hypothesis: HornFormula) -> Assignment | None:
         return self._run("seq", seq_from_eeq_emq, hypothesis)
 
 
@@ -227,7 +230,7 @@ class EntailmentFromClosure(_Adapter):
     def emq(self, clause: EntailmentClause) -> bool:
         return self._run("emq", emq_from_cq, clause)
 
-    def eeq(self, hypothesis: HornFormula) -> EeqAnswer:
+    def eeq(self, hypothesis: HornFormula) -> EntailmentClause | None:
         return self._run("eeq", eeq_from_seq_cq, hypothesis)
 
     def smq(self, x: Assignment) -> bool:
@@ -243,7 +246,7 @@ class StandardFromClosure(_Adapter):
     def smq(self, x: Assignment) -> bool:
         return self._run("smq", smq_from_cq, x)
 
-    def seq(self, hypothesis: HornFormula) -> SeqAnswer:
+    def seq(self, hypothesis: HornFormula) -> Assignment | None:
         return self._run("seq", _seq, hypothesis)
 
 
@@ -253,7 +256,7 @@ class ClosureFromStandard(_Adapter):
     def cq(self, y: Assignment) -> Assignment:
         return self._run("cq", cq_from_smq_seq, y)
 
-    def seq(self, hypothesis: HornFormula) -> SeqAnswer:
+    def seq(self, hypothesis: HornFormula) -> Assignment | None:
         return self._run("seq", _seq, hypothesis)
 
 

@@ -57,6 +57,22 @@ class TestAssignment:
         assert not asg("001") <= asg("010")  # incomparable, not a total order
         assert asg("011") >= asg("010")
 
+    def test_reflected_order_matches_the_masks(self):
+        points = [Assignment(mask, 3) for mask in range(8)]
+        for x in points:
+            for y in points:
+                assert (x >= y) == (x.mask & y.mask == y.mask)
+                assert (x > y) == (x.mask & y.mask == y.mask != x.mask)
+
+    @pytest.mark.parametrize(
+        "compare",
+        [operator.ge, operator.gt, lambda x, other: other <= x],
+        ids=["ge", "gt", "reflected-le"],
+    )
+    def test_foreign_operand_is_a_type_error(self, compare):
+        with pytest.raises(TypeError):
+            compare(asg("01"), 5)
+
     def test_meet(self):
         x, y = asg("0110"), asg("1010")
         assert x & y == asg("0010")

@@ -22,7 +22,6 @@ PUBLIC = {
     "Assignment",
     "ClosureFromEntailment",
     "ClosureFromStandard",
-    "EeqAnswer",
     "EntailmentClause",
     "EntailmentFromClosure",
     "FormulaParseError",
@@ -33,7 +32,6 @@ PUBLIC = {
     "LowerBoundReport",
     "ProtocolError",
     "QueryStats",
-    "SeqAnswer",
     "StandardFromClosure",
     "Teacher",
     "TraceEvent",
@@ -72,7 +70,7 @@ PUBLIC = {
 
 
 def test_package_exports_the_pinned_names():
-    assert len(PUBLIC) == 52
+    assert len(PUBLIC) == 50
     assert sorted(hornlearn.__all__) == sorted(PUBLIC)
 
 

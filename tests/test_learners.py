@@ -11,7 +11,6 @@ from hornlearn import (
     HornFormula,
     Implication,
     ProtocolError,
-    SeqAnswer,
     StandardFromClosure,
     Teacher,
     afp,
@@ -131,7 +130,7 @@ class TestClh:
 
             def seq(self, hypothesis):
                 self.stats.seq += 1
-                return SeqAnswer(asg("10"))
+                return asg("10")
 
             def cq(self, y):
                 self.stats.cq += 1
@@ -153,7 +152,7 @@ class TestClh:
             def seq(self, hypothesis):
                 self.stats.seq += 1
                 assert self.stats.seq <= 20, "clh never gave up"
-                return SeqAnswer(asg("10"))
+                return asg("10")
 
             def cq(self, y):
                 self.stats.cq += 1
@@ -176,8 +175,8 @@ class TestClh:
                 self.stats.seq += 1
                 script = ["110", "101"]
                 if self.stats.seq > len(script):
-                    return SeqAnswer()
-                return SeqAnswer(asg(script[self.stats.seq - 1]))
+                    return None
+                return asg(script[self.stats.seq - 1])
 
             def cq(self, y):
                 self.stats.cq += 1
@@ -210,8 +209,8 @@ class TestClh:
             def seq(self, hypothesis):
                 self.stats.seq += 1
                 if self.stats.seq > len(counterexamples):
-                    return SeqAnswer()
-                return SeqAnswer(asg(counterexamples[self.stats.seq - 1]))
+                    return None
+                return asg(counterexamples[self.stats.seq - 1])
 
             def cq(self, y):
                 self.stats.cq += 1
@@ -280,7 +279,7 @@ class TestAfp:
             def seq(self, hypothesis):
                 self.stats.seq += 1
                 assert self.stats.seq <= 20, "afp never gave up"
-                return SeqAnswer(asg(bits))
+                return asg(bits)
 
             def smq(self, x):
                 self.stats.smq += 1

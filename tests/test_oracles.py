@@ -7,12 +7,10 @@ from hornlearn import (
     AdversarialSmqTeacher,
     ArityError,
     Assignment,
-    EeqAnswer,
     EntailmentClause,
     HornFormula,
     Implication,
     QueryStats,
-    SeqAnswer,
     Teacher,
     afp,
     clh,
@@ -125,31 +123,21 @@ class TestMembershipAndClosure:
         # failed queries are not counted
         assert t.stats.smq == 1 and t.stats.seq == 1
 
-    def test_answer_kinds_stay_apart(self):
-        assert SeqAnswer(None) != EeqAnswer(None)
-        assert SeqAnswer(None) == SeqAnswer() and SeqAnswer().is_yes
-        no = SeqAnswer(asg("01"))
-        assert repr(no) == "SeqAnswer(counterexample=Assignment('01'))"
-        assert repr(EeqAnswer()) == "EeqAnswer(counterexample=None)"
-        assert not EeqAnswer(EntailmentClause(vs("a"), 1)).is_yes
-
 
 class TestSeq:
     def test_yes_on_equivalent(self, gd_example):
         rng = random.Random(61)
         t = Teacher(gd_example)
-        assert t.seq(gd_basis(gd_example)).is_yes
-        assert t.seq(augment(gd_example, rng)).is_yes
+        assert t.seq(gd_basis(gd_example)) is None
+        assert t.seq(augment(gd_example, rng)) is None
 
     def test_negative_counterexample(self):
         t = Teacher(formula(2, ("a", "b")))
-        answer = t.seq(HornFormula(2, []))
-        assert answer.counterexample == asg("10")
+        assert t.seq(HornFormula(2, [])) == asg("10")
 
     def test_positive_counterexample(self):
         t = Teacher(HornFormula(2, []))
-        answer = t.seq(formula(2, ("a", "b")))
-        assert answer.counterexample == asg("10")
+        assert t.seq(formula(2, ("a", "b"))) == asg("10")
 
     @pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
     def test_counterexamples_separate_exactly_one_side(self, strategy):
@@ -158,11 +146,10 @@ class TestSeq:
             target, hypothesis = random_pair(rng)
             seed = rng.randrange(2**32) if strategy == "random" else None
             t = Teacher(target, strategy=strategy, seed=seed)
-            answer = t.seq(hypothesis)
-            if answer.is_yes:
+            x = t.seq(hypothesis)
+            if x is None:
                 assert equivalent(target, hypothesis)
             else:
-                x = answer.counterexample
                 assert satisfies(x, target) != satisfies(x, hypothesis)
 
     def test_negative_preferred_when_both_exist(self):
@@ -170,8 +157,8 @@ class TestSeq:
         for _ in range(100):
             target, hypothesis = random_pair(rng)
             t = Teacher(target)
-            answer = t.seq(hypothesis)
-            if answer.is_yes:
+            x = t.seq(hypothesis)
+            if x is None:
                 continue
             both_sides = any(
                 satisfies(Assignment(m, target.arity), hypothesis)
@@ -179,7 +166,7 @@ class TestSeq:
                 for m in range(1 << target.arity)
             )
             if both_sides:
-                assert satisfies(answer.counterexample, hypothesis)
+                assert satisfies(x, hypothesis)
 
     def test_random_strategy_reproducible(self, gd_example):
         h = HornFormula(5, [])
@@ -192,7 +179,7 @@ class TestSeq:
         for _ in range(150):
             target, hypothesis = random_pair(rng, n_max=7)
             t = Teacher(target, strategy="minimal")
-            got = t.seq(hypothesis).counterexample
+            got = t.seq(hypothesis)
             want = self._brute_minimal(target, hypothesis)
             assert got == want
 
@@ -217,17 +204,15 @@ class TestSeq:
 
 class TestEeq:
     def test_yes_on_equivalent(self, gd_example):
-        assert Teacher(gd_example).eeq(gd_basis(gd_example)).is_yes
+        assert Teacher(gd_example).eeq(gd_basis(gd_example)) is None
 
     def test_clause_entailed_by_target_only(self):
         t = Teacher(formula(2, ("a", "b")))
-        answer = t.eeq(HornFormula(2, []))
-        assert answer.counterexample == EntailmentClause(vs("a"), 1)
+        assert t.eeq(HornFormula(2, [])) == EntailmentClause(vs("a"), 1)
 
     def test_clause_entailed_by_hypothesis_only(self):
         t = Teacher(HornFormula(2, []))
-        answer = t.eeq(formula(2, ("a", "b")))
-        assert answer.counterexample == EntailmentClause(vs("a"), 1)
+        assert t.eeq(formula(2, ("a", "b"))) == EntailmentClause(vs("a"), 1)
 
     @pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
     def test_clauses_entailed_by_exactly_one_side(self, strategy):
@@ -236,18 +221,17 @@ class TestEeq:
             target, hypothesis = random_pair(rng)
             seed = rng.randrange(2**32) if strategy == "random" else None
             t = Teacher(target, strategy=strategy, seed=seed)
-            answer = t.eeq(hypothesis)
-            if answer.is_yes:
+            clause = t.eeq(hypothesis)
+            if clause is None:
                 assert equivalent(target, hypothesis)
             else:
-                clause = answer.counterexample
                 assert entails(target, clause) != entails(hypothesis, clause)
 
     def test_minimal_clause_matches_enumeration(self):
         rng = random.Random(66)
         for _ in range(80):
             target, hypothesis = random_pair(rng, n_max=6)
-            got = Teacher(target, strategy="minimal").eeq(hypothesis).counterexample
+            got = Teacher(target, strategy="minimal").eeq(hypothesis)
             want = self._brute_minimal_clause(target, hypothesis)
             assert got == want
 
@@ -344,7 +328,7 @@ class TestLongLivedTeacher:
 
                 found = self._fresh_gap(target, h, strategy, replay)
                 want = None if found is None else Assignment(found[1], n)
-                assert teacher.seq(h).counterexample == want
+                assert teacher.seq(h) == want
 
                 if strategy == "minimal":
                     want = TestEeq._brute_minimal_clause(target, h)
@@ -356,7 +340,7 @@ class TestLongLivedTeacher:
                         heads = [v for v in range(n) if gap >> v & 1]
                         head = replay.choice(heads) if strategy == "random" else heads[0]
                         want = EntailmentClause._of(a, head)
-                assert teacher.eeq(h).counterexample == want
+                assert teacher.eeq(h) == want
 
             assert len(teacher._proofs) == len(target)
             seen = [set(p) for p in history]

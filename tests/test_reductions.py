@@ -3,10 +3,10 @@ import random
 import pytest
 
 from hornlearn import (
+    ArityError,
     Assignment,
     ClosureFromEntailment,
     ClosureFromStandard,
-    EeqAnswer,
     EntailmentClause,
     EntailmentFromClosure,
     GenConfig,
@@ -14,7 +14,6 @@ from hornlearn import (
     Implication,
     ProtocolError,
     QueryStats,
-    SeqAnswer,
     StandardFromClosure,
     Teacher,
     afp,
@@ -34,6 +33,8 @@ from hornlearn import (
     smq_from_cq,
     smq_from_emq,
 )
+
+from hornlearn.reductions import _LEARNED
 
 from helpers import asg, formula, vs
 
@@ -86,6 +87,19 @@ class TestPointwiseSimulations:
         assert not emq_from_cq(teacher, EntailmentClause(vs("e"), 0))
         assert teacher.stats.cq == 3
 
+    @pytest.mark.parametrize(
+        "clause",
+        [EntailmentClause({0}, 9), EntailmentClause({7}, 0)],
+        ids=["head", "antecedent"],
+    )
+    def test_emq_from_cq_rejects_a_clause_outside_the_arity(self, gd_example, clause):
+        with pytest.raises(ArityError) as direct:
+            Teacher(gd_example).emq(clause)
+        inner = Teacher(gd_example)
+        with pytest.raises(ArityError, match=f"^{direct.value}$"):
+            EntailmentFromClosure(inner).emq(clause)
+        assert inner.stats.cq == 0
+
     def test_smq_from_cq(self, gd_example):
         teacher = Teacher(gd_example)
         assert smq_from_cq(teacher, Assignment.full(5))
@@ -117,19 +131,17 @@ class TestPointwiseSimulations:
 class TestSeqFromEntailment:
     def test_yes_costs_one_eeq(self, gd_example):
         teacher = Teacher(gd_example)
-        assert seq_from_eeq_emq(teacher, gd_example).is_yes
+        assert seq_from_eeq_emq(teacher, gd_example) is None
         assert teacher.stats.eeq == 1 and teacher.stats.emq == 0
 
     def test_negative_case_needs_no_memberships(self):
         teacher = Teacher(formula(2, ("a", "b")))
-        answer = seq_from_eeq_emq(teacher, HornFormula(2, []))
-        assert answer.counterexample == asg("10")
+        assert seq_from_eeq_emq(teacher, HornFormula(2, [])) == asg("10")
         assert teacher.stats.emq == 0
 
     def test_positive_case_uses_memberships(self):
         teacher = Teacher(HornFormula(2, []))
-        answer = seq_from_eeq_emq(teacher, formula(2, ("a", "b")))
-        assert answer.counterexample == asg("10")
+        assert seq_from_eeq_emq(teacher, formula(2, ("a", "b"))) == asg("10")
         assert teacher.stats.emq <= 2
 
     def test_matches_direct_teacher_with_first_strategy(self):
@@ -148,19 +160,19 @@ class TestSeqFromEntailment:
 class TestEeqFromStandard:
     def test_yes_costs_one_seq(self, gd_example):
         teacher = Teacher(gd_example)
-        assert eeq_from_seq_cq(teacher, gd_example).is_yes
+        assert eeq_from_seq_cq(teacher, gd_example) is None
         assert teacher.stats.seq == 1 and teacher.stats.cq == 0
 
     def test_negative_counterexample_clause(self):
         teacher = Teacher(formula(2, ("a", "b")))
-        answer = eeq_from_seq_cq(teacher, HornFormula(2, []))
-        assert answer.counterexample == EntailmentClause(vs("a"), 1)
+        clause = eeq_from_seq_cq(teacher, HornFormula(2, []))
+        assert clause == EntailmentClause(vs("a"), 1)
         assert teacher.stats.seq == 1 and teacher.stats.cq == 1
 
     def test_positive_counterexample_clause(self):
         teacher = Teacher(HornFormula(2, []))
-        answer = eeq_from_seq_cq(teacher, formula(2, ("a", "b")))
-        assert answer.counterexample == EntailmentClause(vs("a"), 1)
+        clause = eeq_from_seq_cq(teacher, formula(2, ("a", "b")))
+        assert clause == EntailmentClause(vs("a"), 1)
         assert teacher.stats.seq == 1 and teacher.stats.cq == 1
 
     def test_clauses_valid_and_budget_respected(self):
@@ -170,12 +182,11 @@ class TestEeqFromStandard:
             target = random_target(rng, n)
             hypothesis = random_target(rng, n)
             teacher = Teacher(target)
-            answer = eeq_from_seq_cq(teacher, hypothesis)
+            clause = eeq_from_seq_cq(teacher, hypothesis)
             assert teacher.stats.seq == 1 and teacher.stats.cq <= 1
-            if answer.is_yes:
+            if clause is None:
                 assert equivalent(target, hypothesis)
             else:
-                clause = answer.counterexample
                 assert entails(target, clause) != entails(hypothesis, clause)
 
 
@@ -200,6 +211,13 @@ class TestCqFromStandard:
         for mask in (3, 7, 12, 30):
             cq_from_smq_seq(teacher, Assignment(mask, 5))
         assert teacher.stats.as_dict() == spent
+
+    def test_wrong_length_rejected_before_learning(self, gd_example):
+        teacher = Teacher(gd_example)
+        with pytest.raises(ArityError, match="^assignment length 3 vs arity 5$"):
+            cq_from_smq_seq(teacher, Assignment(0, 3))
+        assert teacher.stats == QueryStats()
+        assert teacher not in _LEARNED
 
     def test_exhaustive_agreement(self):
         rng = random.Random(83)
@@ -324,9 +342,7 @@ class TestDishonestInnerTeacher:
         assert inner.stats.cq == 1
 
     def test_closure_below_the_counterexample_fails_eeq(self):
-        inner = ScriptedTeacher(
-            seq=lambda h: SeqAnswer(asg("110")), cq=lambda y: asg("100")
-        )
+        inner = ScriptedTeacher(seq=lambda h: asg("110"), cq=lambda y: asg("100"))
         hypothesis = formula(3, ("a", "c"))
         with pytest.raises(ProtocolError, match="must lie above its query"):
             EntailmentFromClosure(inner).eeq(hypothesis)
@@ -334,7 +350,7 @@ class TestDishonestInnerTeacher:
 
     def test_counterexample_that_separates_nothing_fails_eeq(self):
         # `100` is closed under the inner closures and the empty hypothesis
-        inner = ScriptedTeacher(seq=lambda h: SeqAnswer(asg("100")), cq=lambda y: y)
+        inner = ScriptedTeacher(seq=lambda h: asg("100"), cq=lambda y: y)
         with pytest.raises(ProtocolError, match="must satisfy exactly one"):
             EntailmentFromClosure(inner).eeq(HornFormula(3, []))
         assert inner.stats.seq == 1 and inner.stats.cq == 1
@@ -342,7 +358,7 @@ class TestDishonestInnerTeacher:
     def test_clause_entailed_by_both_sides_fails_seq(self):
         # the hypothesis entails a -> b, and every membership says yes
         inner = ScriptedTeacher(
-            eeq=lambda h: EeqAnswer(EntailmentClause(vs("a"), 1)), emq=lambda c: True
+            eeq=lambda h: EntailmentClause(vs("a"), 1), emq=lambda c: True
         )
         with pytest.raises(ProtocolError, match="entailed by exactly one"):
             ClosureFromEntailment(inner).seq(formula(3, ("a", "b")))
