@@ -191,18 +191,26 @@ class Assignment:
         return cls((1 << n) - 1, n)
 
     def __and__(self, other: "Assignment") -> "Assignment":
+        if not isinstance(other, Assignment):
+            return NotImplemented
         _check_length(other, self.n)
         return Assignment(self.mask & other.mask, self.n)
 
     def __or__(self, other: "Assignment") -> "Assignment":
+        if not isinstance(other, Assignment):
+            return NotImplemented
         _check_length(other, self.n)
         return Assignment(self.mask | other.mask, self.n)
 
     def __le__(self, other: "Assignment") -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
         _check_length(other, self.n)
         return self.mask & other.mask == self.mask
 
     def __lt__(self, other: "Assignment") -> bool:
+        if not isinstance(other, Assignment):
+            return NotImplemented
         return self <= other and self.mask != other.mask
 
     def bits(self) -> tuple[int, ...]:
@@ -411,31 +419,15 @@ def entails(formula: HornFormula, clause: EntailmentClause) -> bool:
     return bool(formula.close(clause._mask) >> clause.head & 1)
 
 
-def _gaps(
-    f: HornFormula, g: HornFormula, proofs: list[frozenset | None] | None = None
-) -> Iterator[tuple[int, int, int]]:
+def _gaps(f: HornFormula, g: HornFormula) -> Iterator[tuple[int, int, int]]:
     """`(a, w, c & ~w)` with `w = g.close(a)`, lazily and in list order, for
     each implication `a -> c` of `f` that `g` does not entail.
 
     Each such `w` satisfies `g` and falsifies `f`; `f` and `g` are
     equivalent iff neither `_gaps(f, g)` nor `_gaps(g, f)` yields anything.
-
-    `proofs`, one slot per implication of `f`, carries derivations across
-    calls with changing `g`: slot j holds the pairs that derived
-    implication j last time (None after a gap).  Any formula containing
-    those pairs entails it too, so it is skipped while they are all in `g`;
-    otherwise it is derived afresh with `_derive`, not through `g.close`.
-    Each stored pair added a bit, so a slot holds at most `f.arity` pairs.
     """
-    have = None if proofs is None else set(g._masks)
-    for j, (a, c) in enumerate(f._masks):
-        if proofs is None:
-            w = g.close(a)
-        elif proofs[j] is not None and proofs[j] <= have:
-            continue
-        else:
-            w, used = _derive(a, g._masks, c)
-            proofs[j] = None if c & ~w else frozenset(used)
+    for a, c in f._masks:
+        w = g.close(a)
         gap = c & ~w
         if gap:
             yield a, w, gap

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Assignment, HornFormula, _check_length, satisfies
+from .core import Assignment, HornFormula, satisfies
 from .oracles import QueryStats
 
 __all__ = ["LearnerReport", "ProtocolError", "TraceEvent", "afp", "clh"]
@@ -33,13 +33,16 @@ class ProtocolError(RuntimeError):
     """The teacher's answers broke the promises of its query protocol."""
 
 
-def _check_above(closed: Assignment, y: Assignment) -> None:
-    """Raise ProtocolError unless the closure answer `closed` lies above `y`."""
+def _cq_above(teacher, y: Assignment) -> Assignment:
+    """The teacher's closure of `y`; ProtocolError unless it has the length
+    of `y` and lies above it."""
+    closed = teacher.cq(y)
     if closed.n != y.n or y.mask & ~closed.mask:
         raise ProtocolError(
             f"closure query returned {closed} for {y}; a closure must lie "
             "above its query"
         )
+    return closed
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ def clh(teacher) -> LearnerReport:
 
     Counterexamples must be negative (the hypothesis is always entailed by
     the target), so each lies strictly below its closure, and every closure
-    answer must lie above its query; a teacher that breaks one of these
-    promises raises :class:`ProtocolError`.  Every round
+    answer must have its query's length and lie above it; a teacher that
+    breaks one of these promises raises :class:`ProtocolError`.  Every round
     appends an entry or strictly shrinks one, and an entry shrinks at most
     n times, so a run ending with |N| entries makes at most (n+1)|N|+1
     equivalence queries.
@@ -86,13 +89,6 @@ def clh(teacher) -> LearnerReport:
     n = teacher.arity
     pairs: list[tuple[int, int]] = []
     trace: list[TraceEvent] = []
-
-    def closure(y: int) -> int:
-        query = Assignment(y, n)
-        closed = teacher.cq(query)
-        _check_length(closed, n)
-        _check_above(closed, query)
-        return closed.mask
 
     while True:
         current = HornFormula._of(n, pairs)
@@ -107,13 +103,13 @@ def clh(teacher) -> LearnerReport:
         for i, (y_i, _) in enumerate(pairs):
             y = x.mask & y_i
             if y != y_i:
-                closed = closure(y)
+                closed = _cq_above(teacher, Assignment(y, n)).mask
                 if closed != y:
                     pairs[i] = (y, closed)
                     trace.append(TraceEvent("refine", i, current, x))
                     break
         else:
-            closed = closure(x.mask)
+            closed = _cq_above(teacher, x).mask
             if closed == x.mask:
                 raise ProtocolError(
                     f"closure query returned {x} for the negative "

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .basis import gd_basis
 from .core import (
@@ -34,6 +35,7 @@ from .core import (
     _bit_list,
     _check_length,
     _check_same_arity,
+    _derive,
     _gaps,
     _lex_key,
     _low_bit,
@@ -97,8 +99,8 @@ class Teacher:
 
     Equivalence answers reuse derivations across queries: `_proofs` holds,
     per target implication, the hypothesis implications that derived it
-    last (None when it was not entailed), and `core._gaps` skips it while
-    they all remain; the answers are those of a scan from scratch.  The
+    last (None when it was not entailed); `_negative_gaps` skips it while
+    they all remain, so the answers are those of a scan from scratch.  The
     state is one slot per target implication, each at most `arity` pairs
     (every stored pair added a bit to the derivation).
 
@@ -165,7 +167,7 @@ class Teacher:
         return EntailmentClause._of(a, head)
 
     def _counterexample(self, hyp: HornFormula) -> tuple[int, int, int] | None:
-        """One `(a, w, gap)` of `core._gaps`, picked by the strategy.
+        """One `(a, w, gap)`, negative side first, picked by the strategy.
 
         The negative side comes first: a target implication `a -> c` that the
         hypothesis does not entail gives `w = hyp.close(a)`, which satisfies
@@ -178,7 +180,7 @@ class Teacher:
         closures themselves.
         """
         n = self.target.arity
-        sides = (_gaps(self.target, hyp, self._proofs), _gaps(hyp, self._basis))
+        sides = (self._negative_gaps(hyp), _gaps(hyp, self._basis))
         for side in sides:
             if self.strategy == "first":
                 found = next(side, None)
@@ -189,6 +191,19 @@ class Teacher:
                     return self._rng.choice(gaps)
                 return min(gaps, key=lambda t: (t[1].bit_count(), _lex_key(t[1], n)))
         return None
+
+    def _negative_gaps(self, hyp: HornFormula) -> Iterator[tuple[int, int, int]]:
+        """`core._gaps(self.target, hyp)`, skipping each target implication
+        whose proof slot still holds and re-deriving the rest."""
+        have, proofs = set(hyp._masks), self._proofs
+        for j, (a, c) in enumerate(self.target._masks):
+            if proofs[j] is not None and proofs[j] <= have:
+                continue
+            w, used = _derive(a, hyp._masks, c)
+            gap = c & ~w
+            proofs[j] = None if gap else frozenset(used)
+            if gap:
+                yield a, w, gap
 
     def _minimal_clause(self, hyp: HornFormula) -> EntailmentClause | None:
         # ascending antecedents (by size, then position), smallest head wins

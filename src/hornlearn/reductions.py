@@ -18,9 +18,9 @@ cq_from_smq_seq        one full learner run, then none
 The adapter classes wrap a teacher and expose the simulated protocol with
 the same method shape, so learners run against them unchanged; each records
 the inner queries spent per simulated call in an :class:`AdapterStats`.
-A simulation checks the inner teacher's promises that it can check without
-another inner query (a closure lies above its query, a counterexample
-separates) and raises :class:`ProtocolError` when one breaks.
+A simulation checks the inner teacher's promises that need no further
+inner query (a closure lies above its query, a counterexample fits the
+arity and separates) and raises :class:`ProtocolError` when one breaks.
 There is no polynomial simulation of closures from memberships alone:
 against an adversary that rules out at most one candidate target per query,
 :func:`lower_bound_demo` needs exponentially many membership queries.
@@ -39,7 +39,7 @@ from .core import (
     _check_length,
     _low_bit,
 )
-from .learners import ProtocolError, _check_above, afp
+from .learners import ProtocolError, _cq_above, afp
 from .oracles import AdversarialSmqTeacher
 
 __all__ = [
@@ -95,6 +95,8 @@ def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> Assignment | None:
     if clause is None:
         return None
     n = hypothesis.arity
+    if (clause._mask | 1 << clause.head) >> n:
+        raise ProtocolError(f"counterexample clause {clause} does not fit arity {n}")
     start = Assignment(clause._mask, n)
     under_hyp = hypothesis.close(start.mask)
     if under_hyp >> clause.head & 1:
@@ -108,13 +110,6 @@ def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> Assignment | None:
             )
         return closed
     return Assignment(under_hyp, n)
-
-
-def _cq_above(teacher, y: Assignment) -> Assignment:
-    """The inner closure of `y`, checked to lie above `y`."""
-    closed = teacher.cq(y)
-    _check_above(closed, y)
-    return closed
 
 
 def emq_from_cq(teacher, clause: EntailmentClause) -> bool:

@@ -14,7 +14,9 @@ import pytest
 from hornlearn import (
     Assignment,
     ClosureFromEntailment,
+    ClosureFromStandard,
     EntailmentClause,
+    EntailmentFromClosure,
     GenConfig,
     HornFormula,
     Implication,
@@ -470,3 +472,48 @@ def test_criterion_13_afp_query_growth(corpus_runs):
         f"equivalences on {fitted} targets",
     )
     assert violations == 0
+
+
+def test_criterion_14_reductions_compose():
+    """A simulation wrapped around its inverse reproduces the direct run."""
+    rng = random.Random(CORPUS_SEED + 14)
+    runs = clh_mismatches = afp_failures = afp_mismatches = count_mismatches = 0
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        config = GenConfig(n, rng.randint(0, 3 * n), seed=rng.randrange(2**32))
+        target = random_formula(config)
+        for strategy, seed in (("first", None), ("random", 3), ("minimal", None)):
+            runs += 1
+            direct = clh(Teacher(target, strategy=strategy, seed=seed))
+            inner = Teacher(target, strategy=strategy, seed=seed)
+            round_trip = clh(ClosureFromEntailment(EntailmentFromClosure(inner)))
+            if (round_trip.output, round_trip.trace) != (direct.output, direct.trace):
+                clh_mismatches += 1
+            inner = Teacher(target, strategy=strategy, seed=seed)
+            afp_trip = afp(StandardFromClosure(ClosureFromStandard(inner)))
+            if not equivalent(afp_trip.output, target):
+                afp_failures += 1
+            if strategy == "first":
+                # a "first" answer depends only on the hypothesis, so the
+                # inner afp run leaves the outer run the direct run's answers
+                afp_direct = afp(Teacher(target))
+                if (afp_trip.output, afp_trip.trace) != (
+                    afp_direct.output,
+                    afp_direct.trace,
+                ):
+                    afp_mismatches += 1
+                # one CQ per EMQ, plus one per EEQ counterexample (the last
+                # EEQ answers YES); one SEQ per EEQ
+                entail = clh(ClosureFromEntailment(Teacher(target))).stats
+                want = (entail.emq + entail.eeq - 1, entail.eeq)
+                if (round_trip.stats.cq, round_trip.stats.seq) != want:
+                    count_mismatches += 1
+    failures = (clh_mismatches, afp_failures, afp_mismatches, count_mismatches)
+    _report(
+        14,
+        failures == (0, 0, 0, 0),
+        f"{runs} round trips: {clh_mismatches} clh trace mismatches, "
+        f"{afp_failures} inequivalent afp outputs; under first, "
+        f"{afp_mismatches} afp trace and {count_mismatches} query-count mismatches",
+    )
+    assert failures == (0, 0, 0, 0)

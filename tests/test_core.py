@@ -66,12 +66,23 @@ class TestAssignment:
 
     @pytest.mark.parametrize(
         "compare",
-        [operator.ge, operator.gt, lambda x, other: other <= x],
-        ids=["ge", "gt", "reflected-le"],
+        [
+            operator.le,
+            operator.lt,
+            operator.and_,
+            operator.or_,
+            operator.ge,
+            operator.gt,
+            lambda x, other: other <= x,
+        ],
+        ids=["le", "lt", "and", "or", "ge", "gt", "reflected-le"],
     )
     def test_foreign_operand_is_a_type_error(self, compare):
         with pytest.raises(TypeError):
             compare(asg("01"), 5)
+        # an Assignment of another length still gets the length wording
+        with pytest.raises(ArityError, match=r"assignment length \d+ vs arity \d+"):
+            compare(asg("01"), asg("011"))
 
     def test_meet(self):
         x, y = asg("0110"), asg("1010")

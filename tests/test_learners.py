@@ -4,7 +4,6 @@ import zlib
 import pytest
 
 from hornlearn import (
-    ArityError,
     Assignment,
     ClosureFromEntailment,
     GenConfig,
@@ -197,7 +196,7 @@ class TestClh:
             ["110", "100"],
         ],
     )
-    def test_short_closure_answer_raises_arity_error(self, counterexamples):
+    def test_short_closure_answer_raises_protocol_error(self, counterexamples):
         class ShortClosureTeacher:
             # answers the closure of `100` with a two-bit assignment whose
             # mask would also fit three bits; says YES once out of script
@@ -218,7 +217,7 @@ class TestClh:
                     return Assignment(0b11, 2)
                 return Assignment.full(3)
 
-        with pytest.raises(ArityError):
+        with pytest.raises(ProtocolError, match="must lie above its query"):
             clh(ShortClosureTeacher())
 
 

@@ -169,6 +169,12 @@ class TestEeqFromStandard:
         assert clause == EntailmentClause(vs("a"), 1)
         assert teacher.stats.seq == 1 and teacher.stats.cq == 1
 
+    def test_negative_clause_takes_the_lowest_gained_variable(self):
+        # `100` closes to `111`; b and c are both valid heads
+        teacher = Teacher(formula(3, ("a", "bc")))
+        clause = eeq_from_seq_cq(teacher, HornFormula(3, []))
+        assert clause == EntailmentClause(vs("a"), 1)
+
     def test_positive_counterexample_clause(self):
         teacher = Teacher(HornFormula(2, []))
         clause = eeq_from_seq_cq(teacher, formula(2, ("a", "b")))
@@ -363,6 +369,16 @@ class TestDishonestInnerTeacher:
         with pytest.raises(ProtocolError, match="entailed by exactly one"):
             ClosureFromEntailment(inner).seq(formula(3, ("a", "b")))
         assert inner.stats.eeq == 1 and inner.stats.emq <= 3
+
+    @pytest.mark.parametrize(
+        "clause", [EntailmentClause(vs("a"), 9), EntailmentClause({5}, 1)]
+    )
+    def test_clause_outside_the_arity_fails_seq(self, clause):
+        # a head or an antecedent variable beyond the 3 variables
+        inner = ScriptedTeacher(eeq=lambda h: clause, emq=lambda c: False)
+        with pytest.raises(ProtocolError, match=rf"clause {clause} .* arity 3"):
+            ClosureFromEntailment(inner).seq(HornFormula(3, []))
+        assert inner.stats.eeq == 1 and inner.stats.emq == 0
 
 
 class TestLowerBoundDemo:
