@@ -106,14 +106,31 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _int_range(text: str) -> tuple[int, int]:
+    """LO:HI, or a lone LO meaning LO:LO, with LO <= HI."""
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi or lo)
+    try:
+        bounds = int(lo), int(hi or lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
+    if bounds[0] > bounds[1]:
+        raise argparse.ArgumentTypeError(f"LO {bounds[0]} is above HI {bounds[1]}")
+    return bounds
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_bench(args) -> int:
-    n_lo, n_hi = _parse_range(args.n_range)
-    m_lo, m_hi = _parse_range(args.m_range)
+    n_lo, n_hi = args.n_range
+    m_lo, m_hi = args.m_range
     rng = random.Random(args.seed)
     trials = []
     for _ in range(args.trials):
@@ -199,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="query-count benchmark, CSV output")
     p.add_argument("--algos", nargs="+", choices=ALGORITHMS, required=True)
-    p.add_argument("--n-range", required=True, metavar="LO:HI")
-    p.add_argument("--m-range", required=True, metavar="LO:HI")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--n-range", type=_int_range, required=True, metavar="LO:HI")
+    p.add_argument("--m-range", type=_int_range, required=True, metavar="LO:HI")
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strategy", choices=STRATEGIES, default="first")
     p.add_argument("--out", required=True, metavar="CSV")

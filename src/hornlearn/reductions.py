@@ -18,6 +18,9 @@ cq_from_smq_seq        one full learner run, then none
 The adapter classes wrap a teacher and expose the simulated protocol with
 the same method shape, so learners run against them unchanged; each records
 the inner queries spent per simulated call in an :class:`AdapterStats`.
+:class:`ClosureFromEntailment` asks the EMQs of each distinct closure query
+only once: it answers a repeat from a bounded per-adapter memo and logs an
+empty spend for it, within the table's "at most n EMQs".
 A simulation checks the inner teacher's promises that need no further
 inner query (a closure lies above its query, a counterexample fits the
 arity and separates) and raises :class:`ProtocolError` when one breaks.
@@ -31,6 +34,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 
+from . import core
 from .core import (
     Assignment,
     EntailmentClause,
@@ -207,10 +211,30 @@ def _seq(inner, hypothesis: HornFormula) -> Assignment | None:
 
 
 class ClosureFromEntailment(_Adapter):
-    """cq/smq/seq surface over a teacher answering emq and eeq."""
+    """cq/smq/seq surface over a teacher answering emq and eeq.
+
+    A closure depends only on the target, so the adapter asks the
+    memberships of each distinct closure query once and answers a repeat
+    from a per-instance memo, logging an empty spend.  The memo is cleared
+    at ``core.CLOSURE_MEMO_LIMIT`` entries, as in :meth:`HornFormula.close`.
+    """
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self._closures: dict[int, Assignment] = {}
 
     def cq(self, y: Assignment) -> Assignment:
-        return self._run("cq", cq_from_emq, y)
+        _check_length(y, self.arity)
+        return self._run("cq", self._cq, y)
+
+    def _cq(self, inner, y: Assignment) -> Assignment:
+        memo = self._closures
+        out = memo.get(y.mask)
+        if out is None:
+            if len(memo) >= core.CLOSURE_MEMO_LIMIT:
+                memo.clear()
+            out = memo[y.mask] = cq_from_emq(inner, y)
+        return out
 
     def smq(self, x: Assignment) -> bool:
         return self._run("smq", smq_from_emq, x)

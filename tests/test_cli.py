@@ -289,6 +289,38 @@ class TestBench:
             assert emq > 0 or eeq > 0
 
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n-range", "10:4", "LO 10 is above HI 4"),
+            ("--m-range", "5:2", "LO 5 is above HI 2"),
+            ("--n-range", "x", "expected LO:HI, got 'x'"),
+            ("--trials", "-2", "must be at least 1, got -2"),
+            ("--trials", "0", "must be at least 1, got 0"),
+        ],
+    )
+    def test_rejects_bad_ranges_and_trials(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bad.csv"
+        args = {"--n-range": "3:4", "--m-range": "1:3", "--trials": "2"}
+        args[flag] = value
+        argv = ["bench", "--algos", "clh", "--out", str(out)]
+        for name, text in args.items():
+            argv += [name, text]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_value_range(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert main(
+            ["bench", "--algos", "clh", "--n-range", "4", "--m-range", "2:2",
+             "--trials", "1", "--out", str(out)]
+        ) == 0
+        assert out.read_text().splitlines()[1].split(",")[1] == "4"
+
+
 class TestLowerBound:
     def test_reports_and_exit(self, capsys):
         assert main(["lowerbound", "--n", "4"]) == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hornlearn import core
 from hornlearn import (
     ArityError,
     Assignment,
@@ -237,6 +238,41 @@ class TestCqFromStandard:
                 assert cq_from_smq_seq(wrapped, x) == genuine.cq(x)
 
 
+class RecordingClosureFromEntailment(ClosureFromEntailment):
+    """The adapter, noting the mask of each closure query it is asked."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.asked = []
+
+    def cq(self, y):
+        self.asked.append(y.mask)
+        return super().cq(y)
+
+
+class MemolessClosureFromEntailment:
+    """The reference closure surface: every call goes straight to the
+    stateless simulation, with no memo."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.arity = inner.arity
+        self.stats = inner.stats
+
+    def cq(self, y):
+        return cq_from_emq(self.inner, y)
+
+    def seq(self, hypothesis):
+        return seq_from_eeq_emq(self.inner, hypothesis)
+
+
+def trace_key(report):
+    return [
+        (e.kind, e.index, e.counterexample, e.hypothesis.implications)
+        for e in report.trace
+    ]
+
+
 class TestAdapters:
     def test_closure_from_entailment_runs_clh(self, gd_example):
         inner = Teacher(gd_example)
@@ -294,6 +330,68 @@ class TestAdapters:
             gd_basis(gd_example).implications
         )
         assert inner.stats.cq == 0 and inner.stats.emq == 0
+
+    @pytest.mark.parametrize(
+        "strategy, seed", [("first", None), ("random", 7), ("minimal", None)]
+    )
+    def test_closure_from_entailment_asks_each_distinct_closure_once(
+        self, strategy, seed
+    ):
+        for n in range(3, 13):
+            for formula_seed in range(6):
+                target = random_formula(GenConfig(n, 2 * n, seed=formula_seed))
+                inner = Teacher(target, strategy=strategy, seed=seed)
+                adapter = RecordingClosureFromEntailment(inner)
+                report = clh(adapter)
+                reference = clh(
+                    MemolessClosureFromEntailment(
+                        Teacher(target, strategy=strategy, seed=seed)
+                    )
+                )
+                assert report.output.implications == reference.output.implications
+                assert trace_key(report) == trace_key(reference)
+                assert report.stats.eeq == reference.stats.eeq
+                # clh's counterexamples are all negative: seq asks no EMQ
+                distinct = set(adapter.asked)
+                assert report.stats.emq == sum(
+                    n - bin(mask).count("1") for mask in distinct
+                )
+
+    def test_repeated_closure_query_spends_nothing(self, gd_example):
+        inner = Teacher(gd_example)
+        adapter = ClosureFromEntailment(inner)
+        y = Assignment.from_vars(vs("ad"), 5)
+        first = adapter.cq(y)
+        before = inner.stats.as_dict()
+        again = adapter.cq(Assignment.from_vars(vs("ad"), 5))
+        assert again == first and again.ones() == vs("abcde")
+        assert inner.stats.as_dict() == before
+        assert adapter.adapter_stats.calls == [("cq", {"emq": 3}), ("cq", {})]
+
+    def test_memoized_mask_of_the_wrong_length_is_rejected(self, gd_example):
+        inner = Teacher(gd_example)
+        adapter = ClosureFromEntailment(inner)
+        mask = Assignment.from_vars(vs("ad"), 5).mask
+        adapter.cq(Assignment(mask, 5))
+        before = inner.stats.as_dict()
+        with pytest.raises(ArityError, match="assignment length 6 vs arity 5"):
+            adapter.cq(Assignment(mask, 6))
+        assert inner.stats.as_dict() == before
+        assert len(adapter.adapter_stats.calls) == 1
+
+    def test_closure_memo_stays_bounded(self, gd_example, monkeypatch):
+        monkeypatch.setattr(core, "CLOSURE_MEMO_LIMIT", 2)
+        adapter = ClosureFromEntailment(Teacher(gd_example))
+        genuine = Teacher(gd_example)
+        masks = list(range(1 << 5)) * 2
+        random.Random(3).shuffle(masks)
+        for mask in masks:
+            y = Assignment(mask, 5)
+            assert adapter.cq(y) == genuine.cq(y)
+            assert len(adapter._closures) <= 2
+        # the memo was cleared and refilled: some repeats asked again
+        spent = adapter.adapter_stats.per_call("cq")
+        assert sum(1 for s in spent if s.get("emq", 0) > 0) > len(set(masks))
 
     def test_adapters_expose_inner_counters(self, gd_example):
         inner = Teacher(gd_example)
