@@ -107,7 +107,7 @@ def cmd_learn(args) -> int:
 
 
 def _int_range(text: str) -> tuple[int, int]:
-    """LO:HI, or a lone LO meaning LO:LO, with LO <= HI."""
+    """LO:HI, or a lone LO meaning LO:LO, with 0 <= LO <= HI."""
     lo, _, hi = text.partition(":")
     try:
         bounds = int(lo), int(hi or lo)
@@ -115,6 +115,8 @@ def _int_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from None
     if bounds[0] > bounds[1]:
         raise argparse.ArgumentTypeError(f"LO {bounds[0]} is above HI {bounds[1]}")
+    if bounds[0] < 0:
+        raise argparse.ArgumentTypeError(f"LO {bounds[0]} is negative")
     return bounds
 
 
@@ -131,6 +133,13 @@ def _positive_int(text: str) -> int:
 def cmd_bench(args) -> int:
     n_lo, n_hi = args.n_range
     m_lo, m_hi = args.m_range
+    if n_lo == 0 < m_hi:  # an implication needs a variable for its consequent
+        print(
+            f"error: argument --n-range: LO 0 admits no implication, "
+            f"but --m-range reaches {m_hi}",
+            file=sys.stderr,
+        )
+        return 2
     rng = random.Random(args.seed)
     trials = []
     for _ in range(args.trials):

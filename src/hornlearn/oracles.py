@@ -15,8 +15,11 @@ A :class:`Teacher` wraps an immutable target formula with per-protocol
 answer logic, query counters and a counterexample-selection strategy.
 Equivalence-style answers prefer negative counterexamples (ones satisfying
 the hypothesis).  Only that negative side walks the target's implications,
-in list order and reusing derivations from earlier queries; every closure
-the teacher reads goes through the target's canonical basis instead (see
+in list order and reusing derivations from earlier queries: a derivation
+that reached its goal is skipped while its pairs remain, and one that did
+not is resumed from where it stopped (incremental forward chaining, as in
+Dowling & Gallier 1984, carried across queries).  Every closure the
+teacher reads goes through the target's canonical basis instead (see
 :class:`Teacher`).
 """
 
@@ -97,12 +100,25 @@ class Teacher:
     The build is a fixed cost per teacher: about 0.1-0.15 ms on a tiny
     target (n below 10), about 10 ms at n=100, m=400.
 
-    Equivalence answers reuse derivations across queries: `_proofs` holds,
-    per target implication, the hypothesis implications that derived it
-    last (None when it was not entailed); `_negative_gaps` skips it while
-    they all remain, so the answers are those of a scan from scratch.  The
-    state is one slot per target implication, each at most `arity` pairs
-    (every stored pair added a bit to the derivation).
+    Equivalence answers reuse derivations across queries, one slot per
+    target implication `a -> c`, and each `_negative_gaps` call is a round:
+    - `_proofs[j]`, when the hypothesis entailed it, is the set of
+      hypothesis pairs that derived `c`; the slot is skipped while they all
+      remain, at the cost of one subset test.
+    - `_stuck[j]`, when it did not, is `(w, used, checked)`: the fixpoint
+      `w` chaining reached from `a`, the pairs `used` that built it, and the
+      round `checked` in which it was last read.
+    A stuck slot is read thus.  If `used` is still in the hypothesis, `w`
+    lies between `a` and `hyp.close(a)`, so chaining from `w` reaches the
+    same closure, and it resumes from `w`.  If, moreover, the slot was
+    checked in the previous round, `w` was closed under that round's
+    hypothesis, `_last`, so only a pair outside `_last` can fire on it; if
+    none does, `w` is the closure and no chaining happens.  If a pair of
+    `used` has left, the slot is derived from `a` again.  None of this
+    assumes anything of the hypothesis sequence, so every answer is that of
+    a scan from scratch.  The state is one slot per target implication,
+    each pair set at most `arity` pairs (every stored pair added a bit to
+    the derivation), plus the pair set of the last hypothesis.
 
     Counters and proofs mutate, so confine an instance to one logical
     thread; the target itself is never modified.
@@ -124,6 +140,9 @@ class Teacher:
         self.stats = QueryStats()
         self._rng = random.Random(seed) if seed is not None else None
         self._proofs: list[frozenset | None] = [None] * len(target)
+        self._stuck: list[tuple[int, frozenset, int] | None] = [None] * len(target)
+        self._round = 0
+        self._last: set[tuple[int, int]] = set()
         self._basis = gd_basis(target)
 
     @property
@@ -194,16 +213,36 @@ class Teacher:
 
     def _negative_gaps(self, hyp: HornFormula) -> Iterator[tuple[int, int, int]]:
         """`core._gaps(self.target, hyp)`, skipping each target implication
-        whose proof slot still holds and re-deriving the rest."""
-        have, proofs = set(hyp._masks), self._proofs
+        whose proof still holds, resuming each stuck derivation whose pairs
+        all remain, and re-deriving the rest from the antecedent."""
+        pairs, have = hyp._masks, set(hyp._masks)
+        entered = have - self._last
+        self._last = have
+        self._round = now = self._round + 1
+        proofs, stuck = self._proofs, self._stuck
         for j, (a, c) in enumerate(self.target._masks):
             if proofs[j] is not None and proofs[j] <= have:
                 continue
-            w, used = _derive(a, hyp._masks, c)
+            w, used, checked = stuck[j] or (a, frozenset(), -1)
+            if not used <= have:  # a pair that built w has left
+                w, used = a, frozenset()
+            elif checked == now - 1:  # w was closed under the last hypothesis
+                grown = w
+                for x, y in entered:
+                    if x & w == x:
+                        grown |= y
+                if grown == w:
+                    stuck[j] = w, used, now
+                    yield a, w, c & ~w
+                    continue
+            w, added = _derive(w, pairs, c)
+            used = used.union(added)
             gap = c & ~w
-            proofs[j] = None if gap else frozenset(used)
             if gap:
+                proofs[j], stuck[j] = None, (w, used, now)
                 yield a, w, gap
+            else:
+                proofs[j], stuck[j] = used, None
 
     def _minimal_clause(self, hyp: HornFormula) -> EntailmentClause | None:
         # ascending antecedents (by size, then position), smallest head wins

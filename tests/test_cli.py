@@ -320,6 +320,39 @@ class TestBench:
         ) == 0
         assert out.read_text().splitlines()[1].split(",")[1] == "4"
 
+    @pytest.mark.parametrize("flag", ["--n-range", "--m-range"])
+    def test_rejects_negative_bounds(self, tmp_path, capsys, flag):
+        out = tmp_path / "bad.csv"
+        args = {"--n-range": "3:4", "--m-range": "1:3"}
+        args[flag] = "-2:-1"
+        argv = ["bench", "--algos", "clh", "--trials", "1", "--out", str(out)]
+        argv += [f"{name}={text}" for name, text in args.items()]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"argument {flag}: LO -2 is negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_range, m_range", [("0:0", "1:1"), ("0:3", "0:2")])
+    def test_rejects_arity_zero_with_implications(self, tmp_path, capsys, n_range, m_range):
+        out = tmp_path / "bad.csv"
+        argv = ["bench", "--algos", "clh", "--n-range", n_range, "--m-range", m_range,
+                "--trials", "1", "--out", str(out)]
+        assert main(argv) == 2
+        m_hi = m_range.split(":")[1]
+        err = capsys.readouterr().err
+        assert f"argument --n-range: LO 0 admits no implication, but --m-range reaches {m_hi}" in err
+        assert not out.exists()
+
+    def test_arity_zero_without_implications(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        assert main(
+            ["bench", "--algos", "clh", "--n-range", "0:0", "--m-range", "0:0",
+             "--trials", "1", "--out", str(out)]
+        ) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 2 and rows[1].split(",")[1:3] == ["0", "0"]
+
 
 class TestLowerBound:
     def test_reports_and_exit(self, capsys):

@@ -25,6 +25,7 @@ from hornlearn import (
 from hornlearn import core
 from hornlearn.core import _gaps
 from hornlearn.generate import GenConfig, random_formula
+from hornlearn.oracles import MINIMAL_STRATEGY_MAX_ARITY
 
 from helpers import (
     asg,
@@ -346,6 +347,56 @@ class TestLongLivedTeacher:
             seen = [set(p) for p in history]
             for proof in teacher._proofs:
                 assert proof is None or any(proof <= pairs for pairs in seen)
+
+    @pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
+    def test_resumed_slots_answer_like_a_fresh_scan(self, strategy):
+        # one seq per hypothesis, so a stuck slot is resumed across every
+        # change; under "first" the slots behind the first gap go unread for
+        # several rounds.  Arities up to 20 make chains several passes deep.
+        rng = random.Random(68)
+        top = MINIMAL_STRATEGY_MAX_ARITY if strategy == "minimal" else 20
+        for _ in range(10):
+            n = rng.randint(top // 2, top)
+            target = random_formula(GenConfig(n, 2 * n, seed=rng.randrange(2**32)))
+            seed = 19 if strategy == "random" else None
+            teacher = Teacher(target, strategy=strategy, seed=seed)
+            replay = random.Random(seed)
+            pairs, history = [], [[]]
+            for _ in range(300):
+                pairs = _mutate(rng, pairs, history, target)
+                history.append(pairs)
+                h = HornFormula._of(n, pairs)
+                found = self._fresh_gap(target, h, strategy, replay)
+                want = None if found is None else Assignment(found[1], n)
+                assert teacher.seq(h) == want
+
+            # one slot per target implication, each pair of it added a bit,
+            # and the pair set of the last hypothesis is the only one held
+            assert len(teacher._proofs) == len(teacher._stuck) == len(target)
+            for (a, _), proof, slot in zip(target._masks, teacher._proofs, teacher._stuck):
+                assert proof is None or slot is None
+                assert proof is None or len(proof) <= n
+                if slot is not None:
+                    w, used, _ = slot
+                    assert a & ~w == 0 and len(used) <= (w & ~a).bit_count()
+            assert teacher._last == set(h._masks)
+
+    @pytest.mark.parametrize("strategy, seed", [("first", None), ("random", 7)])
+    @pytest.mark.parametrize("learner", [clh, afp])
+    def test_whole_runs_match_a_teacher_without_slots(self, monkeypatch, learner, strategy, seed):
+        def digest(report):
+            trace = [
+                (e.kind, e.index, e.hypothesis._masks, e.counterexample.mask)
+                for e in report.trace
+            ]
+            return report.output._masks, report.stats, trace
+
+        for formula_seed in (1, 2):
+            target = random_formula(GenConfig(60, 240, (1, 4), (1, 2), seed=formula_seed))
+            plain = Teacher(target, strategy=strategy, seed=seed)
+            monkeypatch.setattr(plain, "_negative_gaps", lambda hyp: _gaps(target, hyp))
+            got = digest(learner(Teacher(target, strategy=strategy, seed=seed)))
+            assert got == digest(learner(plain))
 
 
 class TestMembershipMemo:
