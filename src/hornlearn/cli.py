@@ -29,7 +29,7 @@ from .core import ArityError, HornFormula, closure, equivalent, separating_assig
 from .formats import format_formula, parse_formula
 from .generate import GenConfig, random_formula
 from .learners import afp, clh
-from .oracles import STRATEGIES, QueryStats, Teacher
+from .oracles import MINIMAL_STRATEGY_MAX_ARITY, STRATEGIES, QueryStats, Teacher
 from .reductions import ClosureFromEntailment, StandardFromClosure, lower_bound_demo
 
 # algorithm name -> learner run against a plain Teacher
@@ -137,6 +137,14 @@ def cmd_bench(args) -> int:
         print(
             f"error: argument --n-range: LO 0 admits no implication, "
             f"but --m-range reaches {m_hi}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.strategy == "minimal" and n_hi > MINIMAL_STRATEGY_MAX_ARITY:
+        print(
+            f"error: argument --n-range: HI {n_hi} is above "
+            f"oracles.MINIMAL_STRATEGY_MAX_ARITY ({MINIMAL_STRATEGY_MAX_ARITY}), "
+            "the largest arity --strategy minimal supports",
             file=sys.stderr,
         )
         return 2

@@ -14,9 +14,9 @@ only where a teacher query needs one.
 
 Both take any teacher-shaped object: ``clh`` needs ``cq``/``seq``, ``afp``
 needs ``smq``/``seq``, plus ``arity`` and ``stats``.  An equivalence answer
-is the counterexample itself, or None for YES.  Protocol-simulation
-adapters from :mod:`hornlearn.reductions` satisfy the same shape, so the
-learners run unchanged against other query models.
+is the counterexample itself, of the arity's length, or None for YES.
+Protocol-simulation adapters from :mod:`hornlearn.reductions` satisfy the
+same shape, so the learners run unchanged against other query models.
 """
 
 from __future__ import annotations
@@ -43,6 +43,18 @@ def _cq_above(teacher, y: Assignment) -> Assignment:
             "above its query"
         )
     return closed
+
+
+def _seq_fitting(teacher, hypothesis: HornFormula) -> Assignment | None:
+    """The teacher's equivalence answer to `hypothesis`; ProtocolError unless
+    a counterexample has the hypothesis's arity as its length."""
+    x = teacher.seq(hypothesis)
+    if x is not None and x.n != hypothesis.arity:
+        raise ProtocolError(
+            f"equivalence query returned {x} of length {x.n}; a counterexample "
+            f"must have length {hypothesis.arity}, the arity"
+        )
+    return x
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,7 @@ def clh(teacher) -> LearnerReport:
 
     while True:
         current = HornFormula._of(n, pairs)
-        x = teacher.seq(current)
+        x = _seq_fitting(teacher, current)
         if x is None:
             return LearnerReport(current, teacher.stats.copy(), tuple(trace))
         if not satisfies(x, current):
@@ -150,7 +162,7 @@ def afp(teacher) -> LearnerReport:
 
     while True:
         current = HornFormula._of(n, pairs)
-        x = teacher.seq(current)
+        x = _seq_fitting(teacher, current)
         if x is None:
             return LearnerReport(current, teacher.stats.copy(), tuple(trace))
         if satisfies(x, current):

@@ -16,9 +16,10 @@ answer logic, query counters and a counterexample-selection strategy.
 Equivalence-style answers prefer negative counterexamples (ones satisfying
 the hypothesis).  Only that negative side walks the target's implications,
 in list order and reusing derivations from earlier queries: a derivation
-that reached its goal is skipped while its pairs remain, and one that did
-not is resumed from where it stopped (incremental forward chaining, as in
-Dowling & Gallier 1984, carried across queries).  Every closure the
+that reached its goal is skipped while its pairs remain, and the fixpoint
+of one that did not is kept while no pair that entered since the last
+complete scan fires on it (incremental forward chaining, as in Dowling &
+Gallier 1984, carried across queries).  Every closure the
 teacher reads goes through the target's canonical basis instead (see
 :class:`Teacher`).
 """
@@ -101,24 +102,26 @@ class Teacher:
     target (n below 10), about 10 ms at n=100, m=400.
 
     Equivalence answers reuse derivations across queries, one slot per
-    target implication `a -> c`, and each `_negative_gaps` call is a round:
+    target implication `a -> c`:
     - `_proofs[j]`, when the hypothesis entailed it, is the set of
       hypothesis pairs that derived `c`; the slot is skipped while they all
       remain, at the cost of one subset test.
-    - `_stuck[j]`, when it did not, is `(w, used, checked)`: the fixpoint
-      `w` chaining reached from `a`, the pairs `used` that built it, and the
-      round `checked` in which it was last read.
-    A stuck slot is read thus.  If `used` is still in the hypothesis, `w`
-    lies between `a` and `hyp.close(a)`, so chaining from `w` reaches the
-    same closure, and it resumes from `w`.  If, moreover, the slot was
-    checked in the previous round, `w` was closed under that round's
-    hypothesis, `_last`, so only a pair outside `_last` can fire on it; if
-    none does, `w` is the closure and no chaining happens.  If a pair of
-    `used` has left, the slot is derived from `a` again.  None of this
-    assumes anything of the hypothesis sequence, so every answer is that of
-    a scan from scratch.  The state is one slot per target implication,
-    each pair set at most `arity` pairs (every stored pair added a bit to
-    the derivation), plus the pair set of the last hypothesis.
+    - `_stuck[j]`, when it did not, is `(w, used)`: the fixpoint `w`
+      chaining reached from `a` and the pairs `used` that built it.
+    A stuck slot follows one rule.  Its gap is read off `w`, with no
+    chaining, if the last scan ran to the end, every pair of `used` is
+    still in the hypothesis, and no pair that has entered since that scan
+    fires on `w`; otherwise it is derived from `a` again.  A complete scan
+    visits every slot and leaves each stuck `w` closed under that scan's
+    hypothesis, whose pair set it keeps in `_last`.  While `used` remains,
+    `w` lies below the new closure of `a`; the pairs of `_last` do not fire
+    on `w`, so if no entered pair does either, `w` is that closure.  A scan
+    that "first" abandons at its first gap leaves `_last` None, since the
+    slots behind the gap were not read.  Nothing is assumed of the
+    hypothesis sequence, so every answer is that of a scan from scratch.
+    The state is one slot per target implication, each pair set at most
+    `arity` pairs (every stored pair added a bit to the derivation), plus
+    one hypothesis pair set.
 
     Counters and proofs mutate, so confine an instance to one logical
     thread; the target itself is never modified.
@@ -140,9 +143,8 @@ class Teacher:
         self.stats = QueryStats()
         self._rng = random.Random(seed) if seed is not None else None
         self._proofs: list[frozenset | None] = [None] * len(target)
-        self._stuck: list[tuple[int, frozenset, int] | None] = [None] * len(target)
-        self._round = 0
-        self._last: set[tuple[int, int]] = set()
+        self._stuck: list[tuple[int, frozenset] | None] = [None] * len(target)
+        self._last: set[tuple[int, int]] | None = None
         self._basis = gd_basis(target)
 
     @property
@@ -213,36 +215,33 @@ class Teacher:
 
     def _negative_gaps(self, hyp: HornFormula) -> Iterator[tuple[int, int, int]]:
         """`core._gaps(self.target, hyp)`, skipping each target implication
-        whose proof still holds, resuming each stuck derivation whose pairs
-        all remain, and re-deriving the rest from the antecedent."""
+        whose proof still holds, reading a stuck gap off `w` where the last
+        complete scan vouches for it (see :class:`Teacher`), and deriving
+        the rest from `a`.  `_last` is None until the scan runs to its end."""
         pairs, have = hyp._masks, set(hyp._masks)
-        entered = have - self._last
-        self._last = have
-        self._round = now = self._round + 1
+        last, self._last = self._last, None
+        entered = None if last is None else have - last
         proofs, stuck = self._proofs, self._stuck
         for j, (a, c) in enumerate(self.target._masks):
             if proofs[j] is not None and proofs[j] <= have:
                 continue
-            w, used, checked = stuck[j] or (a, frozenset(), -1)
-            if not used <= have:  # a pair that built w has left
-                w, used = a, frozenset()
-            elif checked == now - 1:  # w was closed under the last hypothesis
-                grown = w
-                for x, y in entered:
-                    if x & w == x:
-                        grown |= y
-                if grown == w:
-                    stuck[j] = w, used, now
-                    yield a, w, c & ~w
-                    continue
-            w, added = _derive(w, pairs, c)
-            used = used.union(added)
+            if entered is not None and stuck[j] is not None:
+                w, used = stuck[j]
+                if used <= have:
+                    for x, y in entered:
+                        if x & w == x and y & ~w:
+                            break
+                    else:
+                        yield a, w, c & ~w
+                        continue
+            w, used = _derive(a, pairs, c)
             gap = c & ~w
             if gap:
-                proofs[j], stuck[j] = None, (w, used, now)
+                proofs[j], stuck[j] = None, (w, frozenset(used))
                 yield a, w, gap
             else:
-                proofs[j], stuck[j] = used, None
+                proofs[j], stuck[j] = frozenset(used), None
+        self._last = have
 
     def _minimal_clause(self, hyp: HornFormula) -> EntailmentClause | None:
         # ascending antecedents (by size, then position), smallest head wins

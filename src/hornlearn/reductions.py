@@ -43,7 +43,7 @@ from .core import (
     _check_length,
     _low_bit,
 )
-from .learners import ProtocolError, _cq_above, afp
+from .learners import ProtocolError, _cq_above, _seq_fitting, afp
 from .oracles import AdversarialSmqTeacher
 
 __all__ = [
@@ -139,7 +139,7 @@ def eeq_from_seq_cq(teacher, hypothesis: HornFormula) -> EntailmentClause | None
     lowest v gained by forward chaining under the hypothesis.  YES (None)
     passes through.
     """
-    x = teacher.seq(hypothesis)
+    x = _seq_fitting(teacher, hypothesis)
     if x is None:
         return None
     closed = _cq_above(teacher, x)

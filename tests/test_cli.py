@@ -353,6 +353,35 @@ class TestBench:
         rows = out.read_text().splitlines()
         assert len(rows) == 2 and rows[1].split(",")[1:3] == ["0", "0"]
 
+    @pytest.mark.parametrize("seed", range(1, 7))
+    @pytest.mark.parametrize("n_range", ["10:14", "13"])
+    def test_rejects_minimal_above_its_arity(
+        self, tmp_path, capsys, monkeypatch, seed, n_range
+    ):
+        # rejected for every seed, whether or not a drawn n exceeds the limit,
+        # and before any target is generated
+        def no_generation(config):
+            raise AssertionError("a target was generated")
+
+        monkeypatch.setattr("hornlearn.cli.random_formula", no_generation)
+        out = tmp_path / "bad.csv"
+        argv = ["bench", "--algos", "clh", "--n-range", n_range, "--m-range", "2:4",
+                "--trials", "2", "--seed", str(seed), "--strategy", "minimal",
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "argument --n-range: HI " in err
+        assert "oracles.MINIMAL_STRATEGY_MAX_ARITY (12)" in err
+        assert not out.exists()
+
+    def test_minimal_up_to_its_arity(self, tmp_path):
+        out = tmp_path / "minimal.csv"
+        assert main(
+            ["bench", "--algos", "clh", "afp", "--n-range", "4:12", "--m-range", "2:4",
+             "--trials", "3", "--seed", "5", "--strategy", "minimal", "--out", str(out)]
+        ) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 3
+
 
 class TestLowerBound:
     def test_reports_and_exit(self, capsys):

@@ -288,6 +288,37 @@ class TestAfp:
             afp(RepeatingTeacher())
 
 
+@pytest.mark.parametrize(
+    "learner",
+    [clh, afp, lambda teacher: afp(StandardFromClosure(teacher))],
+    ids=["clh", "afp", "afp-closure"],
+)
+def test_counterexample_of_the_wrong_length_aborts(learner):
+    class LongCounterexampleTeacher:
+        # a 3-variable teacher whose equivalence answer has 4 bits
+        arity = 3
+
+        def __init__(self):
+            self.stats = QueryStats()
+
+        def seq(self, hypothesis):
+            self.stats.seq += 1
+            return Assignment(0, 4)
+
+        def cq(self, y):
+            self.stats.cq += 1
+            return Assignment.full(3)
+
+        def smq(self, x):
+            self.stats.smq += 1
+            return False
+
+    teacher = LongCounterexampleTeacher()
+    with pytest.raises(ProtocolError, match="of length 4; .* must have length 3"):
+        learner(teacher)
+    assert teacher.stats.as_dict() == {"seq": 1, "cq": 0, "smq": 0, "emq": 0, "eeq": 0}
+
+
 GOLDEN_TARGET = GenConfig(12, 24, (1, 3), (1, 2), seed=2)
 
 LEARNERS = {

@@ -459,6 +459,12 @@ class TestDishonestInnerTeacher:
             EntailmentFromClosure(inner).eeq(HornFormula(3, []))
         assert inner.stats.seq == 1 and inner.stats.cq == 1
 
+    def test_counterexample_of_the_wrong_length_fails_eeq(self):
+        inner = ScriptedTeacher(seq=lambda h: Assignment(0, 4), cq=lambda y: y)
+        with pytest.raises(ProtocolError, match="of length 4; .* must have length 3"):
+            EntailmentFromClosure(inner).eeq(HornFormula(3, []))
+        assert inner.stats.seq == 1 and inner.stats.cq == 0
+
     def test_clause_entailed_by_both_sides_fails_seq(self):
         # the hypothesis entails a -> b, and every membership says yes
         inner = ScriptedTeacher(
