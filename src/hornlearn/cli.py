@@ -43,7 +43,7 @@ ALGORITHMS = tuple(LEARNERS)
 
 
 def _load(path: str) -> HornFormula:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_formula(handle.read())
 
 

@@ -16,9 +16,8 @@ the constant-true function.  Inside the package, formulas and clauses are
 built from masks with ``HornFormula._of`` and ``EntailmentClause._of``.
 
 Forward chaining uses the naive fixpoint (repeat passes until no implication
-fires); every implication whose antecedent already holds leaves later
-passes, whether or not it fired, since it stays satisfied.  A model of a
-formula is a fixed point of its closure: ``satisfies`` asks ``close``.
+fires).  A model of a formula is a fixed point of its closure: ``satisfies``
+asks ``close``.
 """
 
 from __future__ import annotations
@@ -108,31 +107,22 @@ def _derive(
     fixpoint, as `_chain` gives.
     """
     used = []
-    pending = list(pairs)
     fired = True
-    while fired and pending and goal & mask != goal:
+    while fired and goal & mask != goal:
         fired = False
-        rest = []
-        for a, c in pending:
-            if a & mask == a:
-                if c | mask != mask:
-                    mask |= c
-                    used.append((a, c))
-                    fired = True
-                    if goal & mask == goal:
-                        break
-            else:
-                rest.append((a, c))
-        pending = rest
+        for a, c in pairs:
+            if a & mask == a and c | mask != mask:
+                mask |= c
+                used.append((a, c))
+                fired = True
+                if goal & mask == goal:
+                    break
     return mask, used
 
 
 def _lex_key(mask: int, arity: int) -> int:
     # variable 0 is the most significant position in the lexicographic order
-    key = 0
-    for i in range(arity):
-        key = (key << 1) | ((mask >> i) & 1)
-    return key
+    return int(format(mask, f"0{arity}b")[::-1], 2)
 
 
 def _line(

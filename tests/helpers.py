@@ -39,6 +39,32 @@ def lex_key(mask: int, n: int) -> int:
     return key
 
 
+def pending_list_derive(
+    mask: int, pairs: list[tuple[int, int]], goal: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """`core._derive` with a pending list: each pass drops the pairs whose
+    antecedent already holds from the later passes.  The reference for the
+    firing order of `_derive`'s plain passes."""
+    used = []
+    pending = list(pairs)
+    fired = True
+    while fired and pending and goal & mask != goal:
+        fired = False
+        rest = []
+        for a, c in pending:
+            if a & mask == a:
+                if c | mask != mask:
+                    mask |= c
+                    used.append((a, c))
+                    fired = True
+                    if goal & mask == goal:
+                        break
+            else:
+                rest.append((a, c))
+        pending = rest
+    return mask, used
+
+
 def imp_masks(f: HornFormula) -> list[tuple[int, int]]:
     return [
         (

@@ -1,11 +1,12 @@
 import dataclasses
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from hornlearn import HornFormula, Implication, clh, format_formula, parse_formula
-from hornlearn.cli import main
+from hornlearn.cli import ALGORITHMS, main
 from hornlearn.formats import FormulaParseError
 
 GD_TEXT = """\
@@ -222,6 +223,23 @@ class TestCommands:
              "--strategy", "random", "--seed", "11"]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [["gd", "{}"], ["closure", "{}", "a", "d"], ["equiv", "{}", "{}"]]
+        + [["learn", "--trace", "--algo", a, "--target", "{}"] for a in ALGORITHMS],
+        ids=["gd", "closure", "equiv", *ALGORITHMS],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, command, capsys):
+        # some Windows editors start a UTF-8 file with a byte-order mark
+        plain = Path(__file__).parent.parent / "corpus" / "gd-example.horn"
+        marked = tmp_path / "gd-example.horn"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        runs = []
+        for path in (plain, marked):
+            runs.append((main([a.format(path) for a in command]), capsys.readouterr()))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
 
 
 def _inequivalent_learner(teacher):

@@ -40,9 +40,15 @@ from hornlearn import (
 )
 
 from hornlearn.basis import _drop_dominated, _left_saturate, _saturate, _transpose
-from hornlearn.core import _chain, _derive, _quasi
+from hornlearn.core import _chain, _derive, _lex_key, _quasi
 
-from helpers import brute_closure_mask, brute_equivalent, brute_model_masks
+from helpers import (
+    brute_closure_mask,
+    brute_equivalent,
+    brute_model_masks,
+    lex_key,
+    pending_list_derive,
+)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -85,6 +91,25 @@ def noisy_formulas(draw):
         tautologies = draw(st.lists(_subset(f.arity, min_size=1), max_size=2))
         imps += [Implication(a, a) for a in tautologies]
     return HornFormula(f.arity, draw(st.permutations(imps)))
+
+
+@st.composite
+def chaining_pairs(draw):
+    """An arity of 0-5 and mask pairs over it, with antecedents of at most
+    two variables so that chains form, duplicates mixed in, in a drawn
+    order."""
+    n = draw(st.integers(0, 5))
+    if not n:
+        return 0, []
+    var = st.integers(0, n - 1)
+    pair = st.tuples(
+        st.frozensets(var, max_size=2).map(_mask),
+        st.frozensets(var, min_size=1, max_size=2).map(_mask),
+    )
+    pairs = draw(st.lists(pair, max_size=12))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return n, draw(st.permutations(pairs))
 
 
 # Arities on either side of the byte (8) and 64-bit word edges of the
@@ -211,6 +236,24 @@ class TestDerive:
             assert goal & alone == goal
         else:
             assert w == closed
+
+    @PROPERTY
+    @given(chaining_pairs())
+    @example((3, []))
+    @example((3, [(0b10, 0b100), (0b1, 0b10), (0b10, 0b100), (0b1, 0b10)]))
+    def test_fires_the_pairs_of_the_pending_list_loop_in_its_order(self, case):
+        # the teacher's proof slots and the traces read `used` in firing
+        # order; every start against every goal, reachable or not, and -1
+        n, pairs = case
+        for a in range(1 << n):
+            for goal in (-1, *range(1 << n)):
+                assert _derive(a, pairs, goal) == pending_list_derive(a, pairs, goal)
+
+
+def test_lex_key_reverses_the_bits_of_every_mask():
+    for n in range(13):
+        for mask in range(1 << n):
+            assert _lex_key(mask, n) == lex_key(mask, n)
 
 
 class TestGdBasis:
