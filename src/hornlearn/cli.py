@@ -140,11 +140,12 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.strategy == "minimal" and n_hi > MINIMAL_STRATEGY_MAX_ARITY:
+    eeq_minimal = args.strategy == "minimal" and "clh-entail" in args.algos
+    if eeq_minimal and n_hi > MINIMAL_STRATEGY_MAX_ARITY:
         print(
             f"error: argument --n-range: HI {n_hi} is above "
             f"oracles.MINIMAL_STRATEGY_MAX_ARITY ({MINIMAL_STRATEGY_MAX_ARITY}), "
-            "the largest arity --strategy minimal supports",
+            "the largest arity --strategy minimal supports for clh-entail",
             file=sys.stderr,
         )
         return 2

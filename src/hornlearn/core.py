@@ -143,7 +143,7 @@ def default_names(arity: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(arity))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """An n-bit truth assignment, ordered bitwise with 0 <= 1.
 

@@ -14,13 +14,14 @@ Query kinds, named by their classic protocol ids:
 A :class:`Teacher` wraps an immutable target formula with per-protocol
 answer logic, query counters and a counterexample-selection strategy.
 Equivalence-style answers prefer negative counterexamples (ones satisfying
-the hypothesis).  Only that negative side walks the target's implications,
-in list order and reusing derivations from earlier queries: a derivation
-that reached its goal is skipped while its pairs remain, and the fixpoint
-of one that did not is kept while no pair that entered since the last
-complete scan fires on it (incremental forward chaining, as in Dowling &
-Gallier 1984, carried across queries).  Every closure the
-teacher reads goes through the target's canonical basis instead (see
+the hypothesis).  Only that negative side reads the target's own
+implications, through one record per implication that is carried across
+queries and kept exact by bit-mask bookkeeping: a query re-derives only the
+records its hypothesis change may have broken (incremental forward
+chaining, as in Dowling & Gallier 1984, carried across queries), and never
+walks the others.  A closure query whose assignment is already closed is
+answered with that assignment itself.  Every closure the teacher reads
+goes through the target's canonical basis instead (see
 :class:`Teacher`).
 """
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
 from .basis import gd_basis
 from .core import (
@@ -56,7 +56,7 @@ __all__ = [
 
 STRATEGIES = ("first", "random", "minimal")
 
-# the "minimal" strategy enumerates candidate clauses; keep it to small arities
+# the "minimal" eeq enumerates candidate antecedents; keep it to small arities
 MINIMAL_STRATEGY_MAX_ARITY = 12
 
 
@@ -87,8 +87,9 @@ class Teacher:
 
     `strategy` picks among valid counterexamples: "first" scans implications
     in list order, "random" draws uniformly from the candidates (a seed is
-    required), "minimal" returns a bitwise-minimal counterexample and is
-    available only for arities up to MINIMAL_STRATEGY_MAX_ARITY.
+    required), "minimal" returns a bitwise-minimal counterexample; under
+    "minimal", `eeq` enumerates antecedents and refuses arities above
+    MINIMAL_STRATEGY_MAX_ARITY.
 
     Every answer that is a closure read - membership (x is a model iff its
     closure is x), closure, entailment, the hypothesis side of an
@@ -101,29 +102,34 @@ class Teacher:
     The build is a fixed cost per teacher: about 0.1-0.15 ms on a tiny
     target (n below 10), about 10 ms at n=100, m=400.
 
-    Equivalence answers reuse derivations across queries, one slot per
-    target implication `a -> c`:
-    - `_proofs[j]`, when the hypothesis entailed it, is the set of
-      hypothesis pairs that derived `c`; the slot is skipped while they all
-      remain, at the cost of one subset test.
-    - `_stuck[j]`, when it did not, is `(w, used)`: the fixpoint `w`
-      chaining reached from `a` and the pairs `used` that built it.
-    A stuck slot follows one rule.  Its gap is read off `w`, with no
-    chaining, if the last scan ran to the end, every pair of `used` is
-    still in the hypothesis, and no pair that has entered since that scan
-    fires on `w`; otherwise it is derived from `a` again.  A complete scan
-    visits every slot and leaves each stuck `w` closed under that scan's
-    hypothesis, whose pair set it keeps in `_last`.  While `used` remains,
-    `w` lies below the new closure of `a`; the pairs of `_last` do not fire
-    on `w`, so if no entered pair does either, `w` is that closure.  A scan
-    that "first" abandons at its first gap leaves `_last` None, since the
-    slots behind the gap were not read.  Nothing is assumed of the
+    Equivalence answers keep one record per target implication `a -> c`
+    (slot j), the result of its last derivation `_derive(a, pairs, c)`:
+    `_w[j]`, the mask it reached, and `_used[j]`, the pairs that fired.
+    Int masks over the slots, bit j for slot j, say what the records mean
+    for `_have`, the pair set of the last synced hypothesis:
+    - `_valid`: the records that hold, i.e. that the derivation from `a`
+      would give again;
+    - `_gapbits`, inside `_valid`: the records that are gaps (`c` not inside
+      `w`, so `w` is the closure of `a`);
+    - `_users[pair]`: the records whose `used` holds `pair`, for the pairs
+      of `_have` only;
+    - `_cols[v]`: the gap records (valid or not) whose `w` holds variable
+      v, kept by XOR of the old and new `w` at each derivation.
+    Each SEQ/EEQ first syncs (`_sync`).  A record that used a departed
+    pair no longer holds.  A valid entailed record holds while its `used`
+    remains, since adding pairs only grows a closure.  A valid gap record's
+    `w` is the closure of `a` under the previous hypothesis, so the pairs
+    that stayed do not fire on it; it stays the closure unless an entered
+    pair `(x, y)` fires on it, and the gap slots whose `w` holds `x` are
+    the AND of `x`'s columns.  Then the strategy reads its pick off the
+    masks and derives only the slots that do not hold: every one, or under
+    "first" those before the first gap.  Nothing is assumed of the
     hypothesis sequence, so every answer is that of a scan from scratch.
-    The state is one slot per target implication, each pair set at most
-    `arity` pairs (every stored pair added a bit to the derivation), plus
-    one hypothesis pair set.
+    The state is one record per target implication, each `used` at most
+    `arity` pairs (every stored pair added a bit to the derivation), the
+    masks, and `_have`; `_users` holds only pairs of `_have`.
 
-    Counters and proofs mutate, so confine an instance to one logical
+    Counters and records mutate, so confine an instance to one logical
     thread; the target itself is never modified.
     """
 
@@ -134,17 +140,16 @@ class Teacher:
             raise ValueError(f"unknown strategy {strategy!r}, pick one of {STRATEGIES}")
         if strategy == "random" and seed is None:
             raise ValueError("the random strategy needs an explicit seed")
-        if strategy == "minimal" and target.arity > MINIMAL_STRATEGY_MAX_ARITY:
-            raise ValueError(
-                f"minimal strategy supports arity <= {MINIMAL_STRATEGY_MAX_ARITY}"
-            )
         self.target = target
         self.strategy = strategy
         self.stats = QueryStats()
         self._rng = random.Random(seed) if seed is not None else None
-        self._proofs: list[frozenset | None] = [None] * len(target)
-        self._stuck: list[tuple[int, frozenset] | None] = [None] * len(target)
-        self._last: set[tuple[int, int]] | None = None
+        self._w = [a | c for a, c in target._masks]
+        self._used: list[list[tuple[int, int]]] = [[] for _ in target._masks]
+        self._valid = self._gapbits = 0
+        self._users: dict[tuple[int, int], int] = {}
+        self._cols = [0] * target.arity
+        self._have: set[tuple[int, int]] = set()
         self._basis = gd_basis(target)
 
     @property
@@ -159,7 +164,8 @@ class Teacher:
     def cq(self, y: Assignment) -> Assignment:
         _check_length(y, self.target.arity)
         self.stats.cq += 1
-        return Assignment(self._basis.close(y.mask), self.target.arity)
+        closed = self._basis.close(y.mask)
+        return y if closed == y.mask else Assignment(closed, y.n)
 
     def emq(self, clause: EntailmentClause) -> bool:
         answer = entails(self._basis, clause)  # validates the clause
@@ -174,8 +180,13 @@ class Teacher:
 
     def eeq(self, hypothesis: HornFormula) -> EntailmentClause | None:
         _check_same_arity(self.target, hypothesis)
+        minimal = self.strategy == "minimal"
+        if minimal and self.arity > MINIMAL_STRATEGY_MAX_ARITY:
+            raise ValueError(
+                f"minimal eeq supports arity <= {MINIMAL_STRATEGY_MAX_ARITY}"
+            )
         self.stats.eeq += 1
-        if self.strategy == "minimal":
+        if minimal:
             return self._minimal_clause(hypothesis)
         found = self._counterexample(hypothesis)
         if found is None:
@@ -192,56 +203,115 @@ class Teacher:
 
         The negative side comes first: a target implication `a -> c` that the
         hypothesis does not entail gives `w = hyp.close(a)`, which satisfies
-        the hypothesis and falsifies the target.  The positive side walks the
-        hypothesis and closes through the basis, whose closures are the
-        target's.  "first" stops at the first gap, "random" draws one gap of
+        the hypothesis and falsifies the target; it is read off the slot
+        records (`_negative_slot`).  The positive side walks the hypothesis
+        and closes through the basis, whose closures are the target's.
+        "first" takes the first gap in list order, "random" draws one gap of
         the side, "minimal" takes the gap with the bitwise-minimal `w`: every
         counterexample contains the closure of some violated implication's
         antecedent, so the bitwise-minimal ones are minimal elements of these
         closures themselves.
         """
+        j = self._negative_slot(hyp)
+        if j is not None:
+            a, c = self.target._masks[j]
+            w = self._w[j]
+            return a, w, c & ~w
+        side = _gaps(hyp, self._basis)
+        if self.strategy == "first":
+            return next(side, None)
+        gaps = list(side)
+        if not gaps:
+            return None
+        if self.strategy == "random":
+            return self._rng.choice(gaps)
         n = self.target.arity
-        sides = (self._negative_gaps(hyp), _gaps(hyp, self._basis))
-        for side in sides:
-            if self.strategy == "first":
-                found = next(side, None)
-                if found is not None:
-                    return found
-            elif gaps := list(side):
-                if self.strategy == "random":
-                    return self._rng.choice(gaps)
-                return min(gaps, key=lambda t: (t[1].bit_count(), _lex_key(t[1], n)))
-        return None
+        return min(gaps, key=lambda t: (t[1].bit_count(), _lex_key(t[1], n)))
 
-    def _negative_gaps(self, hyp: HornFormula) -> Iterator[tuple[int, int, int]]:
-        """`core._gaps(self.target, hyp)`, skipping each target implication
-        whose proof still holds, reading a stuck gap off `w` where the last
-        complete scan vouches for it (see :class:`Teacher`), and deriving
-        the rest from `a`.  `_last` is None until the scan runs to its end."""
-        pairs, have = hyp._masks, set(hyp._masks)
-        last, self._last = self._last, None
-        entered = None if last is None else have - last
-        proofs, stuck = self._proofs, self._stuck
-        for j, (a, c) in enumerate(self.target._masks):
-            if proofs[j] is not None and proofs[j] <= have:
-                continue
-            if entered is not None and stuck[j] is not None:
-                w, used = stuck[j]
-                if used <= have:
-                    for x, y in entered:
-                        if x & w == x and y & ~w:
-                            break
-                    else:
-                        yield a, w, c & ~w
-                        continue
+    def _negative_slot(self, hyp: HornFormula) -> int | None:
+        """The gap slot the strategy picks, or None if `hyp` entails every
+        target implication; the same pick as a scan of `_gaps(target, hyp)`.
+
+        Syncs the records with `hyp`, then derives the slots whose record
+        does not hold: all of them, or under "first" those before the first
+        gap in list order.  "random" draws the k-th gap slot with the call
+        `rng.choice` makes on the list of gaps.
+        """
+        self._sync(hyp)
+        pairs, masks = hyp._masks, self.target._masks
+        ws, useds, users, cols = self._w, self._used, self._users, self._cols
+        valid, gaps = self._valid, self._gapbits
+        first = self.strategy == "first"
+        todo = ((1 << len(masks)) - 1) & ~valid | (gaps if first else 0)
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if valid & low:  # "first" reached a gap whose record holds
+                break
+            j = low.bit_length() - 1
+            a, c = masks[j]
+            old = ws[j]
             w, used = _derive(a, pairs, c)
+            for pair in useds[j]:
+                if pair in users:
+                    users[pair] &= ~low
+            for pair in used:
+                users[pair] = users.get(pair, 0) | low
+            ws[j], useds[j] = w, used
+            valid |= low
             gap = c & ~w
+            diff = (old if c & ~old else 0) ^ (w if gap else 0)
+            while diff:
+                bit = diff & -diff
+                cols[bit.bit_length() - 1] ^= low
+                diff ^= bit
             if gap:
-                proofs[j], stuck[j] = None, (w, frozenset(used))
-                yield a, w, gap
-            else:
-                proofs[j], stuck[j] = frozenset(used), None
-        self._last = have
+                gaps |= low
+                if first:
+                    break
+        self._valid, self._gapbits = valid, gaps
+        if not gaps:
+            return None
+        if first:
+            return _low_bit(gaps)
+        if self.strategy == "random":
+            for _ in range(self._rng.choice(range(gaps.bit_count()))):
+                gaps &= gaps - 1
+            return _low_bit(gaps)
+        n = self.target.arity
+        return min(
+            _bit_list(gaps), key=lambda j: (ws[j].bit_count(), _lex_key(ws[j], n))
+        )
+
+    def _sync(self, hyp: HornFormula) -> None:
+        """Drop the records that may not hold for `hyp`.
+
+        A record that used a departed pair is dropped through `_users`.  A
+        valid gap record keeps `w`, the closure of `a` under the previous
+        hypothesis: the pairs that stayed do not fire on it, so it is the
+        closure under `hyp` unless an entered pair `(x, y)` fires on it.
+        The gap slots whose `w` holds `x` are the AND of `x`'s columns.
+        """
+        have = set(hyp._masks)
+        last, self._have = self._have, have
+        valid, users = self._valid, self._users
+        for pair in last - have:
+            valid &= ~users.pop(pair, 0)
+        gaps = self._gapbits & valid
+        cols, ws = self._cols, self._w
+        stale = 0
+        for x, y in have - last:
+            fired = gaps
+            while x and fired:
+                bit = x & -x
+                fired &= cols[bit.bit_length() - 1]
+                x ^= bit
+            while fired:
+                low = fired & -fired
+                if y & ~ws[low.bit_length() - 1]:
+                    stale |= low
+                fired ^= low
+        self._valid, self._gapbits = valid & ~stale, gaps & ~stale
 
     def _minimal_clause(self, hyp: HornFormula) -> EntailmentClause | None:
         # ascending antecedents (by size, then position), smallest head wins

@@ -3,14 +3,17 @@
 The brute-force pieces deliberately avoid the library's forward-chaining
 code: satisfaction is evaluated straight from the implication definition,
 closures come from meets of enumerated models, so they can serve as
-independent ground truth.
+independent ground truth.  `FreshScanTeacher` is a reference of another
+kind: a teacher whose equivalence answers chain from scratch on every
+query, for the slot records that `Teacher` carries across queries.
 """
 
 from __future__ import annotations
 
 import random
 
-from hornlearn import Assignment, HornFormula, Implication
+from hornlearn import Assignment, HornFormula, Implication, Teacher
+from hornlearn.core import _gaps
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -156,3 +159,28 @@ def augment(f: HornFormula, rng: random.Random, extra: int = 3) -> HornFormula:
         imps.append(Implication(ant, frozenset(rng.sample(closed, size))))
     rng.shuffle(imps)
     return HornFormula(n, imps, f.names)
+
+
+def fresh_gap(target, hyp, strategy, rng):
+    """The `(a, w, gap)` a teacher picks for `hyp`, from a scan from scratch
+    of `_gaps(target, hyp)`, then of `_gaps(hyp, target)`: on the first side
+    with a gap, "first" takes the first, "random" `rng.choice` of the list,
+    "minimal" the one with the bitwise-minimal `w`; None if there is none."""
+    n = target.arity
+    for side in (list(_gaps(target, hyp)), list(_gaps(hyp, target))):
+        if side:
+            if strategy == "first":
+                return side[0]
+            if strategy == "random":
+                return rng.choice(side)
+            return min(side, key=lambda t: (t[1].bit_count(), lex_key(t[1], n)))
+    return None
+
+
+class FreshScanTeacher(Teacher):
+    """`Teacher` with no slot records: each equivalence answer is
+    `fresh_gap`, which draws from the generator exactly as often.  The
+    reference for the records."""
+
+    def _counterexample(self, hyp):
+        return fresh_gap(self.target, hyp, self.strategy, self._rng)

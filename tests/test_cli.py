@@ -315,6 +315,7 @@ class TestBench:
             ("--n-range", "x", "expected LO:HI, got 'x'"),
             ("--trials", "-2", "must be at least 1, got -2"),
             ("--trials", "0", "must be at least 1, got 0"),
+            ("--trials", "x", "expected an integer, got 'x'"),
         ],
     )
     def test_rejects_bad_ranges_and_trials(self, tmp_path, capsys, flag, value, message):
@@ -376,21 +377,31 @@ class TestBench:
     def test_rejects_minimal_above_its_arity(
         self, tmp_path, capsys, monkeypatch, seed, n_range
     ):
-        # rejected for every seed, whether or not a drawn n exceeds the limit,
-        # and before any target is generated
+        # clh-entail asks the minimal eeq, which enumerates antecedents: it
+        # is rejected for every seed, whether or not a drawn n exceeds the
+        # limit, and before any target is generated
         def no_generation(config):
             raise AssertionError("a target was generated")
 
         monkeypatch.setattr("hornlearn.cli.random_formula", no_generation)
         out = tmp_path / "bad.csv"
-        argv = ["bench", "--algos", "clh", "--n-range", n_range, "--m-range", "2:4",
-                "--trials", "2", "--seed", str(seed), "--strategy", "minimal",
+        argv = ["bench", "--algos", "clh", "clh-entail", "--n-range", n_range,
+                "--m-range", "2:4", "--trials", "2", "--seed", str(seed), "--strategy", "minimal",
                 "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "argument --n-range: HI " in err
         assert "oracles.MINIMAL_STRATEGY_MAX_ARITY (12)" in err
         assert not out.exists()
+
+    def test_minimal_above_its_arity_without_eeq(self, tmp_path):
+        out = tmp_path / "minimal.csv"
+        assert main(
+            ["bench", "--algos", "clh", "afp", "afp-closure", "--n-range", "13:16",
+             "--m-range", "4:8", "--trials", "2", "--seed", "5", "--strategy", "minimal",
+             "--out", str(out)]
+        ) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 2
 
     def test_minimal_up_to_its_arity(self, tmp_path):
         out = tmp_path / "minimal.csv"

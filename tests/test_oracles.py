@@ -23,16 +23,17 @@ from hornlearn import (
 )
 
 from hornlearn import core
-from hornlearn.core import _gaps
 from hornlearn.generate import GenConfig, random_formula
 from hornlearn.oracles import MINIMAL_STRATEGY_MAX_ARITY
 
 from helpers import (
+    FreshScanTeacher,
     asg,
     augment,
     brute_closure_mask,
     brute_model_masks,
     formula,
+    fresh_gap,
     lex_key,
     vs,
 )
@@ -66,10 +67,23 @@ class TestConstruction:
             Teacher(gd_example, strategy="random")
 
     def test_minimal_arity_gate(self):
-        big = HornFormula(13, [])
-        with pytest.raises(ValueError):
-            Teacher(big, strategy="minimal")
-        Teacher(HornFormula(12, []), strategy="minimal")
+        # only the clause search of eeq enumerates antecedents; it refuses
+        # above the limit before the counter moves, and seq answers
+        big = Teacher(HornFormula(13, []), strategy="minimal")
+        with pytest.raises(ValueError, match="arity <= 12"):
+            big.eeq(HornFormula(13, []))
+        assert big.stats.eeq == 0
+        assert big.seq(HornFormula(13, [])) is None
+        small = Teacher(HornFormula(12, []), strategy="minimal")
+        assert small.eeq(HornFormula(12, [])) is None
+
+    @pytest.mark.parametrize("learner", [clh, afp])
+    def test_minimal_above_the_eeq_limit_learns(self, learner):
+        target = random_formula(GenConfig(14, 40, (1, 4), (1, 2), seed=3))
+        report = learner(Teacher(target, strategy="minimal"))
+        assert equivalent(report.output, target)
+        if learner is clh:
+            assert set(report.output._masks) == set(gd_basis(target)._masks)
 
 
 class TestMembershipAndClosure:
@@ -86,6 +100,16 @@ class TestMembershipAndClosure:
         assert t.cq(satisfying) == satisfying
         t2 = Teacher(formula(4, ("a", "b"), ("a", "c"), ("c", "d")))
         assert t2.cq(Assignment.from_vars(vs("c"), 4)).ones() == vs("cd")
+
+    def test_closed_query_is_its_own_answer(self, gd_example):
+        t = Teacher(gd_example)
+        for mask in range(1 << 5):
+            y = Assignment(mask, 5)
+            closed = t.cq(y)
+            if t.smq(y):
+                assert closed is y
+            else:
+                assert closed is not y and closed.n == y.n and closed != y
 
     def test_cq_is_a_fixpoint_above_the_query(self, gd_example):
         t = Teacher(gd_example)
@@ -123,6 +147,17 @@ class TestMembershipAndClosure:
             t.seq(HornFormula(4, []))
         # failed queries are not counted
         assert t.stats.smq == 1 and t.stats.seq == 1
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11, 2**40 + 5])
+def test_random_pick_by_range_draws_like_a_pick_from_the_list(seed):
+    # the "random" strategy draws the k-th gap slot by `choice(range(count))`
+    # and answers as `choice(gaps)` on the list of gaps did: the same index
+    # and the same generator state after the draw
+    for k in range(1, 301):
+        by_range, by_list = random.Random(seed), random.Random(seed)
+        assert by_range.choice(range(k)) == by_list.choice(list(range(k)))
+        assert by_range.getstate() == by_list.getstate()
 
 
 class TestSeq:
@@ -299,17 +334,7 @@ class TestLongLivedTeacher:
     """One teacher answers a long, non-monotone run of hypotheses; each
     answer must equal the one recomputed from scratch for that hypothesis."""
 
-    @staticmethod
-    def _fresh_gap(target, h, strategy, rng):
-        n = target.arity
-        for side in (list(_gaps(target, h)), list(_gaps(h, target))):
-            if side:
-                if strategy == "first":
-                    return side[0]
-                if strategy == "random":
-                    return rng.choice(side)
-                return min(side, key=lambda t: (t[1].bit_count(), lex_key(t[1], n)))
-        return None
+    _fresh_gap = staticmethod(fresh_gap)
 
     @pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
     def test_answers_equal_a_fresh_scan(self, strategy):
@@ -343,16 +368,13 @@ class TestLongLivedTeacher:
                         want = EntailmentClause._of(a, head)
                 assert teacher.eeq(h) == want
 
-            assert len(teacher._proofs) == len(target)
-            seen = [set(p) for p in history]
-            for proof in teacher._proofs:
-                assert proof is None or any(proof <= pairs for pairs in seen)
+            _assert_bounded_records(teacher, h)
 
     @pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
     def test_resumed_slots_answer_like_a_fresh_scan(self, strategy):
-        # one seq per hypothesis, so a stuck slot is read across every
-        # change; under "first" the scans stop at the first gap and leave no
-        # pair set to vouch for `w`.  Arities up to 20 make chains several
+        # one seq per hypothesis, so a gap record is kept or dropped across
+        # every change; under "first" the slots behind the first gap keep
+        # records that no longer hold.  Arities up to 20 make chains several
         # passes deep.
         rng = random.Random(68)
         top = MINIMAL_STRATEGY_MAX_ARITY if strategy == "minimal" else 20
@@ -371,20 +393,13 @@ class TestLongLivedTeacher:
                 want = None if found is None else Assignment(found[1], n)
                 assert teacher.seq(h) == want
 
-            # one slot per target implication, each pair of it added a bit,
-            # and the pair set of the last hypothesis is the only one held
-            assert len(teacher._proofs) == len(teacher._stuck) == len(target)
-            for (a, _), proof, slot in zip(target._masks, teacher._proofs, teacher._stuck):
-                assert proof is None or slot is None
-                assert proof is None or len(proof) <= n
-                if slot is not None:
-                    w, used = slot
-                    assert a & ~w == 0 and len(used) <= (w & ~a).bit_count()
-            assert teacher._last is None or teacher._last == set(h._masks)
+            _assert_bounded_records(teacher, h)
 
-    @pytest.mark.parametrize("strategy, seed", [("first", None), ("random", 7)])
+    @pytest.mark.parametrize(
+        "strategy, seed", [("first", None), ("random", 7), ("minimal", None)]
+    )
     @pytest.mark.parametrize("learner", [clh, afp])
-    def test_whole_runs_match_a_teacher_without_slots(self, monkeypatch, learner, strategy, seed):
+    def test_whole_runs_match_a_teacher_without_slots(self, learner, strategy, seed):
         def digest(report):
             trace = [
                 (e.kind, e.index, e.hypothesis._masks, e.counterexample.mask)
@@ -392,12 +407,26 @@ class TestLongLivedTeacher:
             ]
             return report.output._masks, report.stats, trace
 
+        n = MINIMAL_STRATEGY_MAX_ARITY if strategy == "minimal" else 60
         for formula_seed in (1, 2):
-            target = random_formula(GenConfig(60, 240, (1, 4), (1, 2), seed=formula_seed))
-            plain = Teacher(target, strategy=strategy, seed=seed)
-            monkeypatch.setattr(plain, "_negative_gaps", lambda hyp: _gaps(target, hyp))
+            config = GenConfig(n, 4 * n, (1, 4), (1, 2), seed=formula_seed)
+            target = random_formula(config)
+            plain = FreshScanTeacher(target, strategy=strategy, seed=seed)
             got = digest(learner(Teacher(target, strategy=strategy, seed=seed)))
             assert got == digest(learner(plain))
+
+
+def _assert_bounded_records(teacher, last):
+    """The slot records' invariants after the hypothesis `last`: one record
+    per target implication, each pair of its `used` added a bit, the gap
+    slots are valid ones, and `_users` holds only pairs of `last`."""
+    target = teacher.target
+    assert len(teacher._w) == len(teacher._used) == len(target)
+    assert teacher._gapbits & ~teacher._valid == 0
+    assert teacher._valid >> len(target) == 0
+    for (a, _), w, used in zip(target._masks, teacher._w, teacher._used):
+        assert len(used) <= (w & ~a).bit_count()
+    assert teacher._users.keys() <= set(last._masks)
 
 
 class TestMembershipMemo:

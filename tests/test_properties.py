@@ -8,6 +8,7 @@ reproduces on every run, and the suite costs a few seconds.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 
@@ -436,9 +437,14 @@ class TestRepresentation:
         f, start = case
         closure(start, f)  # fills the closure memo, which stays behind
         basis = gd_basis(f)
-        values = [f, basis, *basis.implications]
+        point = Assignment(f.close(_mask(start)), f.arity)
+        values = [f, basis, *basis.implications, point]
         if f.arity:
             values.append(EntailmentClause(start, f.arity - 1))
+        # slotted and frozen, like Implication
+        assert not hasattr(point, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.mask = 0
         for value in values:
             copy = pickle.loads(pickle.dumps(value))
             assert copy == value
