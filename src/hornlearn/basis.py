@@ -9,11 +9,11 @@ computes it as right-saturate, then left-saturate, then drop redundant
 implications.
 
 No stage chains one antecedent at a time.  Both saturations close every
-antecedent at once in one row-parallel fixpoint (`_saturate`), with the
-implications grouped by consequent.  On saturated input, redundancy is a
-containment test between antecedents of one class (`_drop_dominated`).
-`gd_basis` skips left saturation's precondition check, since right
-saturation has just established it.
+antecedent at once in one row-parallel fixpoint (`_saturate`) over bit
+columns built once from the antecedents' bit lists (`_columns`) and read
+back as rows only at the end; `gd_basis` shares one build between the two.
+On saturated input, redundancy is a containment test between antecedents
+of one class (`_drop_dominated`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .core import HornFormula, _bit_list, _derive, _quasi
+
+_Bits = Sequence[Sequence[int]]
 
 __all__ = [
     "gd_basis",
@@ -55,22 +57,37 @@ def _transpose(vectors: Sequence[int], width: int) -> list[int]:
     return [int.from_bytes(bytes(t), "little") for t in zip(*blocks)]
 
 
-def _saturate(
-    rows: Sequence[int],
-    arity: int,
-    groups: Sequence[tuple[Sequence[int], int, int]],
-) -> list[int]:
-    """Chain every row mask at once to its fixpoint under `groups`.
+def _columns(rows: Sequence[int], arity: int) -> tuple[list[list[int]], list[int]]:
+    """Each row's bit list, and the rows read by column straight from those
+    lists: bit r of `col[v]` is bit v of `rows[r]`."""
+    bits = [_bit_list(a) for a in rows]
+    col = [0] * arity
+    for r, row in enumerate(bits):
+        for v in row:
+            col[v] |= 1 << r
+    return bits, col
 
-    A group `(antecedents, consequent, allowed)` holds implications with one
-    consequent and fires only in the rows set in `allowed`.  The state is
-    one int per variable, the column `col[v]`, whose bit r is set when row r
-    holds v: an antecedent fires in the AND of its columns, and firing ORs
-    those rows into the consequent's columns.  Columns only grow, so a group
-    passes on only the rows it has not fired in before.
+
+def _rows_by(keys: Sequence[int]) -> dict[int, list[int]]:
+    """The row indices of each key, first-seen order."""
+    rows: dict[int, list[int]] = {}
+    for r, k in enumerate(keys):
+        rows.setdefault(k, []).append(r)
+    return rows
+
+
+def _saturate(
+    bits: _Bits, col: list[int], groups: Sequence[tuple[Sequence[int], int, int]]
+) -> list[int]:
+    """Chain every row at once to its fixpoint under `groups`, in place in
+    the columns `col` of the rows `bits`; returns the rows.  A group
+    `(rows, consequent, allowed)` holds the implications with antecedents
+    `bits[r]` for r in `rows`, and fires only in the rows set in `allowed`:
+    an antecedent holds in the AND of its columns, and firing ORs those rows
+    into the consequent's columns.  Columns only grow, so a group's hit only
+    grows, and it passes on only what it gained since it last fired (XOR).
     """
-    col = _transpose(rows, arity)
-    walk = [([_bit_list(a) for a in ants], _bit_list(c), ok) for ants, c, ok in groups]
+    walk = [([bits[r] for r in rows], _bit_list(c), ok) for rows, c, ok in groups]
     fired = [0] * len(walk)
     changed = True
     while changed:
@@ -81,41 +98,38 @@ def _saturate(
                 t = allowed
                 for v in a:
                     t &= col[v]
+                    if not t:
+                        break
                 hit |= t
-            new = hit & ~fired[g]
+            new = hit ^ fired[g]
             if new:
-                fired[g] |= new
+                fired[g] = hit
                 for u in cons:
                     col[u] |= new
                 changed = True
-    return _transpose(col, len(rows))
+    return _transpose(col, len(bits))
 
 
-def _groups(pairs: Sequence[tuple[int, int]]) -> list[tuple[list[int], int, int]]:
-    """The pairs grouped by consequent, first-seen order: each group's
-    antecedents, its consequent and the mask of its rows (list indices)."""
-    rows: dict[int, list[int]] = {}
-    for i, (_, c) in enumerate(pairs):
-        rows.setdefault(c, []).append(i)
-    return [
-        ([pairs[i][0] for i in idx], c, sum(1 << i for i in idx))
-        for c, idx in rows.items()
-    ]
+def _closures(bits: _Bits, col: list[int], cons: Sequence[int]) -> list[int]:
+    """Right saturation: grouped by consequent, every implication fires in
+    every row, so row r ends as the closure of antecedent r."""
+    full = (1 << len(bits)) - 1
+    return _saturate(bits, col, [(rs, c, full) for c, rs in _rows_by(cons).items()])
+
+
+def _quasi_closures(bits: _Bits, col: list[int], classes: Sequence[int]) -> list[int]:
+    """Left saturation: grouped by class, each barred from its own rows, so
+    row r ends as the quasi-closure of antecedent r."""
+    full = (1 << len(bits)) - 1
+    own = _rows_by(classes).items()
+    groups = [(rs, c, full & ~sum(1 << r for r in rs)) for c, rs in own]
+    return _saturate(bits, col, groups)
 
 
 def right_saturate(formula: HornFormula) -> HornFormula:
-    """Replace every consequent by the closure of its antecedent.
-
-    One `_saturate` fixpoint closes every antecedent at once.  Row r is the
-    mask that starts as antecedent r; column v is the set of rows that hold
-    variable v.  Every implication may fire in every row, so row r ends as
-    the closure of antecedent r.
-    """
-    pairs = formula._masks
-    ants = [a for a, _ in pairs]
-    full = (1 << len(pairs)) - 1
-    groups = [(g, c, full) for g, c, _ in _groups(pairs)]
-    closed = _saturate(ants, formula.arity, groups)
+    """Replace every consequent by the closure of its antecedent."""
+    ants, cons = [a for a, _ in formula._masks], [c for _, c in formula._masks]
+    closed = _closures(*_columns(ants, formula.arity), cons)
     return HornFormula._of(formula.arity, zip(ants, closed), formula.names)
 
 
@@ -148,21 +162,10 @@ def left_saturate(formula: HornFormula) -> HornFormula:
 
 
 def _left_saturate(formula: HornFormula) -> HornFormula:
-    """`left_saturate` of a right-saturated formula, without the check.
-
-    One `_saturate` fixpoint, rows and columns as in `right_saturate`: row r
-    starts as antecedent r and ends as its quasi-closure.  Grouped by
-    consequent, the groups are the classes, and each is barred from its own
-    rows.  Grouping by class matters: consequents are whole classes, so one
-    group per implication would spread and write a large consequent once
-    per implication rather than once per class.
-    """
-    pairs = formula._masks
-    full = (1 << len(pairs)) - 1
-    groups = [(g, c, full & ~own) for g, c, own in _groups(pairs)]
-    quasi = _saturate([a for a, _ in pairs], formula.arity, groups)
-    out = zip(quasi, (c for _, c in pairs))
-    return HornFormula._of(formula.arity, out, formula.names)
+    """`left_saturate` of a right-saturated formula, without the check."""
+    ants, classes = [a for a, _ in formula._masks], [c for _, c in formula._masks]
+    quasi = _quasi_closures(*_columns(ants, formula.arity), classes)
+    return HornFormula._of(formula.arity, zip(quasi, classes), formula.names)
 
 
 def remove_redundant(formula: HornFormula) -> HornFormula:
@@ -190,14 +193,15 @@ def _drop_dominated(formula: HornFormula) -> HornFormula:
     """
     pairs = formula._masks
     last = {a: i for i, (a, _) in enumerate(pairs)}
-    classes: dict[int, list[int]] = {}
-    for a, i in last.items():
-        classes.setdefault(pairs[i][1], []).append(a)
+    ants = list(last)
     keep = []
-    for c, ants in classes.items():
+    for c, rows in _rows_by([pairs[i][1] for i in last.values()]).items():
         minimal: list[int] = []
-        for a in sorted(ants, key=int.bit_count):
-            if all(b & a != b for b in minimal):
+        for a in sorted((ants[r] for r in rows), key=int.bit_count):
+            for b in minimal:
+                if b & a == b:
+                    break
+            else:
                 minimal.append(a)
         keep += (last[a] for a in minimal if a != c)
     out = [pairs[i] for i in sorted(keep)]
@@ -208,8 +212,14 @@ def gd_basis(formula: HornFormula) -> HornFormula:
     """The unique saturated, minimum-size implication basis of the formula.
 
     Equivalent inputs yield the same implication set, whatever their
-    ordering or redundancy.  Right saturation makes every consequent the
-    class of its antecedent, so left saturation runs without re-checking
-    that, and redundancy is the containment test of `_drop_dominated`.
+    ordering or redundancy.  Both saturations start from the antecedents,
+    so they share one column build (right saturation works on a copy).
+    Right saturation makes every consequent the class of its antecedent, so
+    left saturation runs without re-checking that, and redundancy is the
+    containment test of `_drop_dominated`.
     """
-    return _drop_dominated(_left_saturate(right_saturate(formula)))
+    bits, col = _columns([a for a, _ in formula._masks], formula.arity)
+    closed = _closures(bits, col[:], [c for _, c in formula._masks])
+    quasi = _quasi_closures(bits, col, closed)
+    out = HornFormula._of(formula.arity, zip(quasi, closed), formula.names)
+    return _drop_dominated(out)

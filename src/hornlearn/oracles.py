@@ -99,8 +99,8 @@ class Teacher:
     it, with closed consequents, so it chains faster than the target; the
     answers are the same.  The teacher holds that basis (at most m pairs)
     and its one bounded closure memo; the target's own memo stays empty.
-    The build is a fixed cost per teacher: about 0.1-0.15 ms on a tiny
-    target (n below 10), about 10 ms at n=100, m=400.
+    The build is a fixed cost per teacher: about 0.06-0.09 ms on a tiny
+    target (n below 10), about 5-7 ms at n=100, m=400.
 
     Equivalence answers keep one record per target implication `a -> c`
     (slot j), the result of its last derivation `_derive(a, pairs, c)`:

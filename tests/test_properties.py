@@ -40,7 +40,15 @@ from hornlearn import (
     satisfies,
 )
 
-from hornlearn.basis import _drop_dominated, _left_saturate, _saturate, _transpose
+from hornlearn.basis import (
+    _closures,
+    _columns,
+    _drop_dominated,
+    _left_saturate,
+    _quasi_closures,
+    _saturate,
+    _transpose,
+)
 from hornlearn.core import _chain, _derive, _lex_key, _quasi
 
 from helpers import (
@@ -328,10 +336,43 @@ def _with_examples(test):
     return test
 
 
+# Groups of several antecedents under one consequent, whose hits grow across
+# passes.  First: the `-> 1` group is listed after the `-> 4` group it feeds,
+# so `-> 4` fires in rows 0, 1 and 4 (a duplicate pair) on the first pass and
+# in rows 2 and 3 only on the second.  Second: an empty antecedent fires its
+# group in every row at once, and the duplicated `0 -> 2` feeds the `-> 1`
+# group listed before it, which fires in rows 3 and 4 on the second pass.
+GROUPED_EXAMPLES = [
+    HornFormula(
+        5,
+        [
+            Implication({0}, {4}),
+            Implication({1}, {4}),
+            Implication({2}, {1}),
+            Implication({2, 3}, {1}),
+            Implication({0}, {4}),
+        ],
+    ),
+    HornFormula(
+        4,
+        [Implication({1}, {3}), Implication(set(), {3}), Implication({2}, {1})]
+        + [Implication({0}, {2})] * 2,
+    ),
+]
+
+
+def _with_grouped_examples(test):
+    for f in BATCH_EXAMPLES + GROUPED_EXAMPLES:
+        test = example(f)(test)
+    return test
+
+
 class TestBatchSaturation:
     """`_saturate` closes every row at once; each row must be what chaining
-    its antecedent alone gives.  The groups here hold one implication each,
-    so they check the fixpoint apart from the stages' grouping by class."""
+    its antecedent alone gives.  The first two tests give each implication
+    its own group, so they check the fixpoint apart from the stages'
+    grouping; the grouped tests run the stages' own groups (`_closures`,
+    `_quasi_closures`), several antecedents to a group."""
 
     @PROPERTY
     @given(st.one_of(noisy_formulas(), edge_formulas()))
@@ -341,8 +382,8 @@ class TestBatchSaturation:
         ants = [a for a, _ in pairs]
         full = (1 << len(pairs)) - 1
         closures = [_chain(a, pairs) for a in ants]
-        groups = [([a], c, full) for a, c in pairs]
-        assert _saturate(ants, f.arity, groups) == closures
+        groups = [([r], c, full) for r, (_, c) in enumerate(pairs)]
+        assert _saturate(*_columns(ants, f.arity), groups) == closures
         assert right_saturate(f)._masks == tuple(zip(ants, closures))
 
     @PROPERTY
@@ -355,9 +396,35 @@ class TestBatchSaturation:
         full = (1 << len(ants)) - 1
         own = {c: sum(1 << i for i, d in enumerate(classes) if d == c) for c in classes}
         quasi = [_quasi(a, right) for a in ants]
-        groups = [([a], c, full & ~own[c]) for a, c in right._masks]
-        assert _saturate(ants, f.arity, groups) == quasi
+        groups = [([r], c, full & ~own[c]) for r, c in enumerate(classes)]
+        assert _saturate(*_columns(ants, f.arity), groups) == quasi
         assert _left_saturate(right)._masks == tuple(zip(quasi, classes))
+
+    @PROPERTY
+    @given(st.one_of(noisy_formulas(), edge_formulas()))
+    @_with_grouped_examples
+    def test_grouped_rows_are_the_closures(self, f):
+        pairs = f._masks
+        ants, cons = [a for a, _ in pairs], [c for _, c in pairs]
+        bits, col = _columns(ants, f.arity)
+        closures = [_chain(a, pairs) for a in ants]
+        assert _closures(bits, col, cons) == closures
+        # the fixpoint runs in place: the columns end as the closures'
+        assert col == _transpose(closures, f.arity)
+
+    @PROPERTY
+    @given(st.one_of(noisy_formulas(), edge_formulas()))
+    @_with_grouped_examples
+    def test_grouped_rows_are_the_quasi_closures(self, f):
+        right = right_saturate(f)
+        ants, classes = [a for a, _ in right._masks], [c for _, c in right._masks]
+        quasi = _quasi_closures(*_columns(ants, f.arity), classes)
+        assert quasi == [_quasi(a, right) for a in ants]
+        # both stages on one column build, as gd_basis runs them
+        bits, col = _columns([a for a, _ in f._masks], f.arity)
+        closed = _closures(bits, col[:], [c for _, c in f._masks])
+        assert closed == classes
+        assert _quasi_closures(bits, col, closed) == quasi
 
     @PROPERTY
     @given(st.one_of(noisy_formulas(), edge_formulas()))
@@ -381,6 +448,19 @@ class TestBatchSaturation:
                     for j in range(width)
                 ]
                 assert _transpose(cols, count) == vectors
+
+    def test_columns_are_the_bit_matrix_transpose(self):
+        rng = random.Random(12)
+        for width in EDGE_ARITIES:
+            for count in (0, 1, 7, 8, 9, 64, 65):
+                vectors = [rng.getrandbits(width) for _ in range(count)]
+                bits, cols = _columns(vectors, width)
+                assert bits == [[j for j in range(width) if v >> j & 1] for v in vectors]
+                assert cols == [
+                    sum((v >> j & 1) << i for i, v in enumerate(vectors))
+                    for j in range(width)
+                ]
+                assert cols == _transpose(vectors, width)
 
 
 def _teacher(f: HornFormula, strategy: str, seed: int) -> Teacher:
