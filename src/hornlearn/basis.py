@@ -39,22 +39,13 @@ def _transpose(vectors: Sequence[int], width: int) -> list[int]:
     """The bit matrix whose rows are `vectors` (`width` bits each), read by
     column: bit i of `out[j]` is bit j of `vectors[i]`.
 
-    Eight vectors at a time: the binary digits of a vector, read as bytes
-    ('0' is 0x30, '1' is 0x31), hold its bits as their low bits, one byte
-    per bit; eight vectors, each shifted to its own bit of those bytes, make
-    one block, and the blocks are read back per column, one byte each.
+    The binary digits of the vectors, last vector first, make one string;
+    every `width`-th digit of it, read as a binary number, is one column.
     """
     if not vectors:
         return [0] * width
-    ones = int.from_bytes(b"\x01" * width, "little")
-    spec = f"0{width}b"
-    blocks = []
-    for k in range(0, len(vectors), 8):
-        block = 0
-        for shift, v in enumerate(vectors[k : k + 8]):
-            block |= (int.from_bytes(format(v, spec).encode(), "big") & ones) << shift
-        blocks.append(block.to_bytes(width, "little"))
-    return [int.from_bytes(bytes(t), "little") for t in zip(*blocks)]
+    digits = "".join([format(v, f"0{width}b") for v in reversed(vectors)])
+    return [int(digits[i::width], 2) for i in range(width - 1, -1, -1)]
 
 
 def _columns(rows: Sequence[int], arity: int) -> tuple[list[list[int]], list[int]]:

@@ -143,7 +143,7 @@ def default_names(arity: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(arity))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Assignment:
     """An n-bit truth assignment, ordered bitwise with 0 <= 1.
 
@@ -156,11 +156,13 @@ class Assignment:
     mask: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ArityError(f"negative arity {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ArityError(f"mask {self.mask:#x} does not fit {self.n} bits")
+    def __init__(self, mask: int, n: int) -> None:
+        if n < 0:
+            raise ArityError(f"negative arity {n}")
+        if mask < 0 or mask >> n:
+            raise ArityError(f"mask {mask:#x} does not fit {n} bits")
+        _set_assignment_mask(self, mask)
+        _set_assignment_n(self, n)
 
     @classmethod
     def from_vars(cls, variables: Iterable[int], n: int) -> "Assignment":
@@ -220,6 +222,14 @@ class Assignment:
         return f"Assignment({str(self)!r})"
 
 
+# The slot setters of the frozen value classes, which their constructors
+# call directly.  Every query builds at least one Assignment or clause, and
+# a bound slot setter costs less per call than object.__setattr__, which
+# first checks the type and looks up the name.
+_set_assignment_mask = Assignment.mask.__set__
+_set_assignment_n = Assignment.n.__set__
+
+
 @dataclass(frozen=True, slots=True)
 class Implication:
     """`antecedent -> consequent` over variable index sets; consequent nonempty."""
@@ -239,7 +249,7 @@ class Implication:
     __repr__ = __str__
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class EntailmentClause:
     """A definite clause `antecedent -> head` with a single head variable;
     the antecedent is stored as a bit mask and read as a frozenset view."""
@@ -248,19 +258,21 @@ class EntailmentClause:
     head: int
 
     def __init__(self, antecedent: Iterable[int], head: int) -> None:
-        self._set(_mask_of(antecedent), head)
+        mask = _mask_of(antecedent)
+        if head < 0:
+            raise ArityError(f"negative variable index {head}")
+        _set_clause_mask(self, mask)
+        _set_clause_head(self, head)
 
     @classmethod
     def _of(cls, mask: int, head: int) -> "EntailmentClause":
-        clause = cls.__new__(cls)
-        clause._set(mask, head)
-        return clause
-
-    def _set(self, mask: int, head: int) -> None:
+        """The clause with antecedent mask `mask`, built without a copy."""
         if head < 0:
             raise ArityError(f"negative variable index {head}")
-        object.__setattr__(self, "_mask", mask)
-        object.__setattr__(self, "head", head)
+        clause = cls.__new__(cls)
+        _set_clause_mask(clause, mask)
+        _set_clause_head(clause, head)
+        return clause
 
     @property
     def antecedent(self) -> frozenset[int]:
@@ -270,6 +282,10 @@ class EntailmentClause:
         return _line(_bit_list(self._mask), [self.head])
 
     __repr__ = __str__
+
+
+_set_clause_mask = EntailmentClause._mask.__set__
+_set_clause_head = EntailmentClause.head.__set__
 
 
 @dataclass(frozen=True, init=False)
@@ -405,8 +421,9 @@ def satisfies(x: Assignment, formula: HornFormula) -> bool:
 
 def entails(formula: HornFormula, clause: EntailmentClause) -> bool:
     """True iff the clause head lies in the closure of its antecedent."""
-    _check_fits(clause._mask | 1 << clause.head, formula.arity)
-    return bool(formula.close(clause._mask) >> clause.head & 1)
+    mask, head = clause._mask, clause.head
+    _check_fits(mask | 1 << head, formula.arity)
+    return bool(formula.close(mask) >> head & 1)
 
 
 def _gaps(f: HornFormula, g: HornFormula) -> Iterator[tuple[int, int, int]]:

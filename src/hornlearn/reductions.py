@@ -17,10 +17,12 @@ cq_from_smq_seq        one full learner run, then none
 
 The adapter classes wrap a teacher and expose the simulated protocol with
 the same method shape, so learners run against them unchanged; each records
-the inner queries spent per simulated call in an :class:`AdapterStats`.
+the inner queries spent per simulated call in an :class:`AdapterStats`,
+also for a call that raises.
 :class:`ClosureFromEntailment` asks the EMQs of each distinct closure query
 only once: it answers a repeat from a bounded per-adapter memo and logs an
-empty spend for it, within the table's "at most n EMQs".
+empty spend for it without reading any counter, within the table's "at most
+n EMQs".
 A simulation checks the inner teacher's promises that need no further
 inner query (a closure lies above its query, a counterexample fits the
 arity and separates) and raises :class:`ProtocolError` when one breaks.
@@ -32,7 +34,8 @@ against an adversary that rules out at most one candidate target per query,
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from . import core
 from .core import (
@@ -44,7 +47,7 @@ from .core import (
     _low_bit,
 )
 from .learners import ProtocolError, _cq_above, _seq_fitting, afp
-from .oracles import AdversarialSmqTeacher
+from .oracles import AdversarialSmqTeacher, QueryStats
 
 __all__ = [
     "AdapterStats",
@@ -68,9 +71,10 @@ def cq_from_emq(teacher, y: Assignment) -> Assignment:
     """Answer a closure query with one entailment membership per unset bit."""
     n = teacher.arity
     _check_length(y, n)
-    mask = y.mask
+    emq, of = teacher.emq, EntailmentClause._of
+    start = mask = y.mask
     for b in range(n):
-        if not mask >> b & 1 and teacher.emq(EntailmentClause._of(y.mask, b)):
+        if not mask >> b & 1 and emq(of(start, b)):
             mask |= 1 << b
     return Assignment(mask, n)
 
@@ -80,8 +84,10 @@ def smq_from_emq(teacher, x: Assignment) -> bool:
     is entailed by it.  Stops at the first positive answer."""
     n = teacher.arity
     _check_length(x, n)
+    emq, of = teacher.emq, EntailmentClause._of
+    mask = x.mask
     for b in range(n):
-        if not x.mask >> b & 1 and teacher.emq(EntailmentClause._of(x.mask, b)):
+        if not mask >> b & 1 and emq(of(mask, b)):
             return False
     return True
 
@@ -127,7 +133,7 @@ def emq_from_cq(teacher, clause: EntailmentClause) -> bool:
 
 def smq_from_cq(teacher, x: Assignment) -> bool:
     """Membership from a single closure query: positive iff already closed."""
-    return _cq_above(teacher, x) == x
+    return _cq_above(teacher, x).mask == x.mask
 
 
 def eeq_from_seq_cq(teacher, hypothesis: HornFormula) -> EntailmentClause | None:
@@ -175,7 +181,12 @@ def cq_from_smq_seq(teacher, y: Assignment) -> Assignment:
 
 @dataclass
 class AdapterStats:
-    """Inner queries spent per simulated call, in call order."""
+    """Inner queries spent per simulated call, in call order.
+
+    A spend maps each query kind whose counter moved to how far it moved; a
+    memo hit spends nothing and logs ``{}``.  A call that raises is logged
+    with what it spent before raising.
+    """
 
     calls: list[tuple[str, dict[str, int]]] = field(default_factory=list)
 
@@ -183,14 +194,16 @@ class AdapterStats:
         return [spent for name, spent in self.calls if name == op]
 
 
+# The query kinds in QueryStats field order, and one read of all counters.
+_KINDS = tuple(f.name for f in fields(QueryStats))
+_snapshot = attrgetter(*_KINDS)
+
+
 class _Adapter:
     def __init__(self, inner) -> None:
         self.inner = inner
+        self.arity = inner.arity
         self.adapter_stats = AdapterStats()
-
-    @property
-    def arity(self) -> int:
-        return self.inner.arity
 
     @property
     def stats(self):
@@ -198,11 +211,17 @@ class _Adapter:
 
     def _run(self, op, fn, query):
         stats = self.inner.stats
-        before = stats.as_dict()
-        out = fn(self.inner, query)
-        spent = {k: v - before[k] for k, v in stats.__dict__.items() if v != before[k]}
-        self.adapter_stats.calls.append((op, spent))
-        return out
+        before = _snapshot(stats)
+        try:
+            return fn(self.inner, query)
+        finally:
+            after = _snapshot(stats)
+            spent = {}
+            if after != before:
+                for kind, b, a in zip(_KINDS, before, after):
+                    if a != b:
+                        spent[kind] = a - b
+            self.adapter_stats.calls.append((op, spent))
 
 
 def _seq(inner, hypothesis: HornFormula) -> Assignment | None:
@@ -215,8 +234,9 @@ class ClosureFromEntailment(_Adapter):
 
     A closure depends only on the target, so the adapter asks the
     memberships of each distinct closure query once and answers a repeat
-    from a per-instance memo, logging an empty spend.  The memo is cleared
-    at ``core.CLOSURE_MEMO_LIMIT`` entries, as in :meth:`HornFormula.close`.
+    from a per-instance memo, logging an empty spend without reading the
+    inner counters.  The memo is cleared at ``core.CLOSURE_MEMO_LIMIT``
+    entries, as in :meth:`HornFormula.close`.
     """
 
     def __init__(self, inner) -> None:
@@ -225,15 +245,14 @@ class ClosureFromEntailment(_Adapter):
 
     def cq(self, y: Assignment) -> Assignment:
         _check_length(y, self.arity)
-        return self._run("cq", self._cq, y)
-
-    def _cq(self, inner, y: Assignment) -> Assignment:
         memo = self._closures
         out = memo.get(y.mask)
-        if out is None:
-            if len(memo) >= core.CLOSURE_MEMO_LIMIT:
-                memo.clear()
-            out = memo[y.mask] = cq_from_emq(inner, y)
+        if out is not None:
+            self.adapter_stats.calls.append(("cq", {}))
+            return out
+        if len(memo) >= core.CLOSURE_MEMO_LIMIT:
+            memo.clear()
+        out = memo[y.mask] = self._run("cq", cq_from_emq, y)
         return out
 
     def smq(self, x: Assignment) -> bool:

@@ -96,8 +96,10 @@ class TestAssignment:
             asg("01") & asg("011")
         with pytest.raises(ArityError):
             asg("01") <= asg("011")
-        with pytest.raises(ArityError):
+        with pytest.raises(ArityError, match="^mask 0x4 does not fit 2 bits$"):
             Assignment(4, 2)
+        with pytest.raises(ArityError, match="^mask -0x1 does not fit 2 bits$"):
+            Assignment(-1, 2)
         with pytest.raises(ArityError):
             Assignment.from_vars({3}, 2)
         with pytest.raises(ArityError, match="negative arity"):
@@ -374,6 +376,12 @@ class TestEntails:
     def test_head_out_of_range(self, gd_example):
         with pytest.raises(ArityError):
             entails(gd_example, EntailmentClause(vs("a"), 9))
+
+    def test_negative_head_is_rejected(self):
+        with pytest.raises(ArityError, match="^negative variable index -1$"):
+            EntailmentClause([], -1)
+        with pytest.raises(ArityError, match="^negative variable index -1$"):
+            EntailmentClause._of(0, -1)
 
 
 class TestEquivalent:

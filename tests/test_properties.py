@@ -8,6 +8,7 @@ reproduces on every run, and the suite costs a few seconds.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 import random
@@ -518,20 +519,20 @@ class TestRepresentation:
         closure(start, f)  # fills the closure memo, which stays behind
         basis = gd_basis(f)
         point = Assignment(f.close(_mask(start)), f.arity)
-        values = [f, basis, *basis.implications, point]
-        if f.arity:
-            values.append(EntailmentClause(start, f.arity - 1))
+        clause = EntailmentClause(start, max(f.arity - 1, 0))
+        values = [f, basis, *basis.implications, point, clause]
         # slotted and frozen, like Implication
-        assert not hasattr(point, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            point.mask = 0
+        for value, name in ((point, "mask"), (clause, "head")):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0)
         for value in values:
-            copy = pickle.loads(pickle.dumps(value))
-            assert copy == value
-            assert hash(copy) == hash(value)
-            assert str(copy) == str(value)
-        copy = pickle.loads(pickle.dumps(f))
-        assert closure(start, copy) == closure(start, f)
+            for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert clone == value
+                assert hash(clone) == hash(value)
+                assert str(clone) == str(value)
+        clone = pickle.loads(pickle.dumps(f))
+        assert closure(start, clone) == closure(start, f)
 
 
 class TestEdgeShapes:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -238,6 +239,15 @@ class TestCqFromStandard:
                 assert cq_from_smq_seq(wrapped, x) == genuine.cq(x)
 
 
+def assert_log_adds_up(adapter, stats):
+    """The spends in the adapter's per-call log sum to the inner counters."""
+    total = QueryStats()
+    for _, spent in adapter.adapter_stats.calls:
+        for kind, count in spent.items():
+            setattr(total, kind, getattr(total, kind) + count)
+    assert total == stats
+
+
 class RecordingClosureFromEntailment(ClosureFromEntailment):
     """The adapter, noting the mask of each closure query it is asked."""
 
@@ -393,6 +403,39 @@ class TestAdapters:
         spent = adapter.adapter_stats.per_call("cq")
         assert sum(1 for s in spent if s.get("emq", 0) > 0) > len(set(masks))
 
+    # sha256 of repr(adapter_stats.calls) on one n=30 target
+    @pytest.mark.parametrize(
+        "learner, adapter_class, strategy, seed, digest",
+        [
+            (
+                clh, ClosureFromEntailment, "first", None,
+                "c9276d0f78ae82dd2d078fb5856a565cb8d3b8000d85ba4aa4d7d12e4df44b19",
+            ),
+            (
+                clh, ClosureFromEntailment, "random", 7,
+                "5028dbaeff73d39ad46f707f75253801a1248747eadbe97817bb0e585defc87a",
+            ),
+            (
+                afp, StandardFromClosure, "first", None,
+                "63f40d4d81cb083408611055900543c0cc9df04022bff72c8b553ebd5a180bc9",
+            ),
+            (
+                afp, StandardFromClosure, "random", 7,
+                "35e19a3b2444d5a113e764662b4062baf93331aeaf404725758f72513ec8336f",
+            ),
+        ],
+    )
+    def test_per_call_log_is_pinned(
+        self, learner, adapter_class, strategy, seed, digest
+    ):
+        target = random_formula(GenConfig(30, 90, (1, 3), (1, 2), seed=3))
+        inner = Teacher(target, strategy=strategy, seed=seed)
+        adapter = adapter_class(inner)
+        learner(adapter)
+        calls = repr(adapter.adapter_stats.calls).encode()
+        assert hashlib.sha256(calls).hexdigest() == digest
+        assert_log_adds_up(adapter, inner.stats)
+
     def test_adapters_expose_inner_counters(self, gd_example):
         inner = Teacher(gd_example)
         adapter = ClosureFromEntailment(inner)
@@ -473,6 +516,21 @@ class TestDishonestInnerTeacher:
         with pytest.raises(ProtocolError, match="entailed by exactly one"):
             ClosureFromEntailment(inner).seq(formula(3, ("a", "b")))
         assert inner.stats.eeq == 1 and inner.stats.emq <= 3
+
+    def test_a_call_that_raises_still_logs_its_spend(self):
+        # the target is a -> b; the teacher offers a -> b as a counterexample
+        # to a hypothesis that entails it, and answers memberships honestly
+        target = formula(3, ("a", "b"))
+        inner = ScriptedTeacher(
+            eeq=lambda h: EntailmentClause(vs("a"), 1),
+            emq=lambda c: entails(target, c),
+        )
+        adapter = ClosureFromEntailment(inner)
+        with pytest.raises(ProtocolError, match="entailed by exactly one"):
+            adapter.seq(target)
+        assert inner.stats.as_dict() == QueryStats(eeq=1, emq=2).as_dict()
+        assert adapter.adapter_stats.calls[-1] == ("seq", {"eeq": 1, "emq": 2})
+        assert_log_adds_up(adapter, inner.stats)
 
     @pytest.mark.parametrize(
         "clause", [EntailmentClause(vs("a"), 9), EntailmentClause({5}, 1)]
