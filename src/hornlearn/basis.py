@@ -149,11 +149,6 @@ def left_saturate(formula: HornFormula) -> HornFormula:
     """
     if not is_right_saturated(formula):
         raise ValueError("left_saturate requires a right-saturated formula")
-    return _left_saturate(formula)
-
-
-def _left_saturate(formula: HornFormula) -> HornFormula:
-    """`left_saturate` of a right-saturated formula, without the check."""
     ants, classes = [a for a, _ in formula._masks], [c for _, c in formula._masks]
     quasi = _quasi_closures(*_columns(ants, formula.arity), classes)
     return HornFormula._of(formula.arity, zip(quasi, classes), formula.names)

@@ -301,12 +301,10 @@ class ClosureFromStandard(_Adapter):
 @dataclass(frozen=True)
 class LowerBoundReport:
     """A membership-only attempt to pin down a closure: the number of
-    candidate targets left after each query."""
+    candidate targets left after each query, one fewer per query."""
 
     initial_candidates: int
     remaining: tuple[int, ...]
-    determined: bool
-    invariant_held: bool
 
     @property
     def queries(self) -> int:
@@ -314,29 +312,18 @@ class LowerBoundReport:
 
 
 def lower_bound_demo(n: int) -> LowerBoundReport:
-    """Try to determine the closure of the all-zeros assignment with
-    membership queries only, against the adversarial teacher.
+    """Determine the closure of the all-zeros assignment with membership
+    queries only, against the adversarial teacher.
 
-    Asks every assignment below the top in ascending mask order.  The
-    closure is determined once a single candidate target remains, which
-    requires ruling out all but one of the 2**n - 1 candidates; the report
-    also tracks the invariant `remaining >= initial - queries` at each step.
+    Asks the assignments below the top in ascending mask order until a
+    single candidate target remains.  Each query rules out exactly one of
+    the 2**n - 1 candidates, so the run takes 2**n - 2 queries.
     """
     if not 2 <= n <= 16:
         raise ValueError("supported arities are 2..16")
     adversary = AdversarialSmqTeacher(n)
     remaining = []
-    invariant_held = True
-    for mask in range((1 << n) - 1):
-        if adversary.remaining_candidates == 1:
-            break
-        adversary.smq(Assignment(mask, n))
+    while adversary.remaining_candidates > 1:
+        adversary.smq(Assignment(len(remaining), n))
         remaining.append(adversary.remaining_candidates)
-        if remaining[-1] < adversary.initial_candidates - adversary.queries:
-            invariant_held = False
-    return LowerBoundReport(
-        initial_candidates=adversary.initial_candidates,
-        remaining=tuple(remaining),
-        determined=adversary.remaining_candidates == 1,
-        invariant_held=invariant_held,
-    )
+    return LowerBoundReport(adversary.initial_candidates, tuple(remaining))

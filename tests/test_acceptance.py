@@ -422,21 +422,15 @@ def test_criterion_12_membership_lower_bound():
     n = 10
     report = lower_bound_demo(n)
     elapsed = time.perf_counter() - started
-    ok = (
-        report.invariant_held
-        and report.determined
-        and report.queries == (1 << n) - 2
-        and elapsed < 5
-    )
+    exact = tuple(range((1 << n) - 2, 0, -1))
+    ok = report.remaining == exact and elapsed < 5
     _report(
         12,
         ok,
         f"closure of the bottom pinned only after {report.queries} queries "
         f"({elapsed:.2f}s)",
     )
-    assert report.invariant_held
-    assert report.determined
-    assert report.queries == (1 << n) - 2
+    assert report.remaining == exact
     assert elapsed < 5
 
 

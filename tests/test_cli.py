@@ -1,6 +1,8 @@
 import dataclasses
 import random
 import re
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -418,7 +420,6 @@ class TestLowerBound:
         out = capsys.readouterr().out
         assert "candidates: 15" in out
         assert "after 14 queries" in out
-        assert "invariant held" in out
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_full_output_pinned(self, n, capsys):
@@ -433,9 +434,17 @@ class TestLowerBound:
             + steps
             + "determined the closure of the all-zeros assignment "
             f"after {initial - 1} queries\n"
-            "invariant held: remaining >= candidates - queries at every step\n"
         )
         assert err == ""
 
     def test_arity_validation(self, capsys):
         assert main(["lowerbound", "--n", "40"]) == 2
+
+    @pytest.mark.parametrize("n, code", [("2", 0), ("1", 2)])
+    def test_module_entry_point_exit_code(self, n, code, monkeypatch, capsys):
+        # a fresh import, else runpy warns that the module is already loaded
+        monkeypatch.delitem(sys.modules, "hornlearn.cli")
+        monkeypatch.setattr(sys, "argv", ["hornlearn.cli", "lowerbound", "--n", n])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_module("hornlearn.cli", run_name="__main__")
+        assert exit_info.value.code == code

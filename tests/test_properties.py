@@ -45,7 +45,6 @@ from hornlearn.basis import (
     _closures,
     _columns,
     _drop_dominated,
-    _left_saturate,
     _quasi_closures,
     _saturate,
     _transpose,
@@ -399,7 +398,7 @@ class TestBatchSaturation:
         quasi = [_quasi(a, right) for a in ants]
         groups = [([r], c, full & ~own[c]) for r, c in enumerate(classes)]
         assert _saturate(*_columns(ants, f.arity), groups) == quasi
-        assert _left_saturate(right)._masks == tuple(zip(quasi, classes))
+        assert left_saturate(right)._masks == tuple(zip(quasi, classes))
 
     @PROPERTY
     @given(st.one_of(noisy_formulas(), edge_formulas()))
@@ -435,7 +434,7 @@ class TestBatchSaturation:
         pairs = list(f._masks)
         pairs += rng.choices(pairs, k=min(len(pairs), 3))  # more duplicates
         rng.shuffle(pairs)
-        saturated = _left_saturate(right_saturate(HornFormula._of(f.arity, pairs)))
+        saturated = left_saturate(right_saturate(HornFormula._of(f.arity, pairs)))
         assert _drop_dominated(saturated)._masks == remove_redundant(saturated)._masks
 
     def test_transpose_is_the_bit_matrix_transpose(self):

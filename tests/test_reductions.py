@@ -544,16 +544,13 @@ class TestDishonestInnerTeacher:
 
 
 class TestLowerBoundDemo:
-    def test_exhaustive_needs_all_but_one_ruled_out(self):
-        report = lower_bound_demo(3)
-        assert report.initial_candidates == 7
-        assert report.queries == 2**3 - 2
-        assert report.determined and report.invariant_held
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exhaustive_needs_all_but_one_ruled_out(self, n):
+        report = lower_bound_demo(n)
+        assert report.initial_candidates == 2**n - 1
+        assert report.queries == 2**n - 2
         # every query below the top leaves exactly one candidate fewer
-        assert report.remaining == tuple(range(6, 0, -1))
-
-    def test_small_arity_count(self):
-        assert lower_bound_demo(2).initial_candidates == 3
+        assert report.remaining == tuple(range(2**n - 2, 0, -1))
 
     def test_closure_undetermined_while_two_candidates_remain(self):
         from hornlearn import AdversarialSmqTeacher, family_member
