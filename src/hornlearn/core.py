@@ -45,7 +45,7 @@ __all__ = [
     "subformula_same_class",
 ]
 
-DEFAULT_MODEL_LIMIT = 20
+MODELS_MAX_ARITY = 20
 
 # a formula's closure memo is cleared when it reaches this many entries
 CLOSURE_MEMO_LIMIT = 1 << 16
@@ -456,14 +456,15 @@ def separating_assignment(f: HornFormula, g: HornFormula) -> Assignment | None:
     return None
 
 
-def models(formula: HornFormula, limit: int = DEFAULT_MODEL_LIMIT) -> list[Assignment]:
+def models(formula: HornFormula) -> list[Assignment]:
     """All satisfying assignments, in lexicographic order (variable 0 first).
 
-    Refuses arities above `limit` since the scan enumerates 2**arity vectors.
+    Refuses arities above MODELS_MAX_ARITY since the scan enumerates
+    2**arity vectors.
     """
     n = formula.arity
-    if n > limit:
-        raise ValueError(f"arity {n} above brute-force limit {limit}")
+    if n > MODELS_MAX_ARITY:
+        raise ValueError(f"arity {n} above brute-force limit {MODELS_MAX_ARITY}")
     pairs = formula._masks
     found = []
     for mask in range(1 << n):

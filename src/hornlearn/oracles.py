@@ -31,7 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .basis import gd_basis
+from .basis import _columns, gd_basis
 from .core import (
     Assignment,
     EntailmentClause,
@@ -105,29 +105,24 @@ class Teacher:
     Equivalence answers keep one record per target implication `a -> c`
     (slot j), the result of its last derivation `_derive(a, pairs, c)`:
     `_w[j]`, the mask it reached, and `_used[j]`, the pairs that fired.
-    Int masks over the slots, bit j for slot j, say what the records mean
-    for `_have`, the pair set of the last synced hypothesis:
-    - `_valid`: the records that hold, i.e. that the derivation from `a`
-      would give again;
-    - `_gapbits`, inside `_valid`: the records that are gaps (`c` not inside
-      `w`, so `w` is the closure of `a`);
+    Every record holds for `_have`, the pair set of the hypothesis that
+    `_negative_slot` last read: chaining `a` over `used` reaches `w`, and
+    `w` is the closure of `a` whenever `c` is not inside it.  A new
+    teacher's records are the derivations under the empty hypothesis
+    (`w = a`, nothing used), so a learner's first, empty hypothesis derives
+    nothing.  Int masks over the slots, bit j for slot j, index the records:
+    - `_gapbits`: the gap records (`c` not inside `w`);
     - `_users[pair]`: the records whose `used` holds `pair`, for the pairs
       of `_have` only;
-    - `_cols[v]`: the gap records (valid or not) whose `w` holds variable
-      v, kept by XOR of the old and new `w` at each derivation.
-    Each SEQ/EEQ first syncs (`_sync`).  A record that used a departed
-    pair no longer holds.  A valid entailed record holds while its `used`
-    remains, since adding pairs only grows a closure.  A valid gap record's
-    `w` is the closure of `a` under the previous hypothesis, so the pairs
-    that stayed do not fire on it; it stays the closure unless an entered
-    pair `(x, y)` fires on it, and the gap slots whose `w` holds `x` are
-    the AND of `x`'s columns.  Then the strategy reads its pick off the
-    masks and derives only the slots that do not hold: every one, or under
-    "first" those before the first gap.  Nothing is assumed of the
-    hypothesis sequence, so every answer is that of a scan from scratch.
-    The state is one record per target implication, each `used` at most
-    `arity` pairs (every stored pair added a bit to the derivation), the
-    masks, and `_have`; `_users` holds only pairs of `_have`.
+    - `_cols[v]`: the gap records whose `w` holds variable v, kept by XOR
+      of the old and new `w` at each derivation.
+    Each SEQ/EEQ re-derives only the records the hypothesis change may have
+    broken (`_negative_slot`), then the strategy reads its pick off
+    `_gapbits`.  Nothing is assumed of the hypothesis sequence, so every
+    answer is that of a scan from scratch.  The state is one record per
+    target implication, each `used` at most `arity` pairs (every stored
+    pair added a bit to the derivation), the masks, and `_have`; `_users`
+    holds only pairs of `_have`.
 
     Counters and records mutate, so confine an instance to one logical
     thread; the target itself is never modified.
@@ -144,11 +139,12 @@ class Teacher:
         self.strategy = strategy
         self.stats = QueryStats()
         self._rng = random.Random(seed) if seed is not None else None
-        self._w = [a | c for a, c in target._masks]
-        self._used: list[list[tuple[int, int]]] = [[] for _ in target._masks]
-        self._valid = self._gapbits = 0
+        masks = target._masks
+        self._w = [a for a, _ in masks]
+        self._used: list[list[tuple[int, int]]] = [[] for _ in masks]
+        self._gapbits = sum(1 << j for j, (a, c) in enumerate(masks) if c & ~a)
         self._users: dict[tuple[int, int], int] = {}
-        self._cols = [0] * target.arity
+        self._cols = _columns([a if c & ~a else 0 for a, c in masks], target.arity)[1]
         self._have: set[tuple[int, int]] = set()
         self._basis = gd_basis(target)
 
@@ -232,22 +228,39 @@ class Teacher:
         """The gap slot the strategy picks, or None if `hyp` entails every
         target implication; the same pick as a scan of `_gaps(target, hyp)`.
 
-        Syncs the records with `hyp`, then derives the slots whose record
-        does not hold: all of them, or under "first" those before the first
-        gap in list order.  "random" draws the k-th gap slot with the call
-        `rng.choice` makes on the list of gaps.
+        Brings the records from `_have` to `hyp` first, re-deriving only the
+        slots that may not hold.  A record that used a departed pair is
+        found through `_users`.  A gap record keeps `w`, the closure of `a`
+        under the previous hypothesis: the pairs that stayed do not fire on
+        it, so it is the closure under `hyp` unless an entered pair `(x, y)`
+        fires on it, and the gap slots whose `w` holds `x` are the AND of
+        `x`'s columns.  An entailed record holds while its `used` remains,
+        since adding pairs only grows a closure.  "random" then draws the
+        k-th gap slot with the call `rng.choice` makes on the list of gaps.
         """
-        self._sync(hyp)
+        have = set(hyp._masks)
+        last, self._have = self._have, have
         pairs, masks = hyp._masks, self.target._masks
         ws, useds, users, cols = self._w, self._used, self._users, self._cols
-        valid, gaps = self._valid, self._gapbits
-        first = self.strategy == "first"
-        todo = ((1 << len(masks)) - 1) & ~valid | (gaps if first else 0)
+        todo = 0
+        for pair in last - have:
+            todo |= users.pop(pair, 0)
+        gaps = self._gapbits
+        for x, y in have - last:
+            fired = gaps & ~todo
+            while x and fired:
+                bit = x & -x
+                fired &= cols[bit.bit_length() - 1]
+                x ^= bit
+            while fired:
+                low = fired & -fired
+                if y & ~ws[low.bit_length() - 1]:
+                    todo |= low
+                fired ^= low
+        gaps &= ~todo
         while todo:
             low = todo & -todo
             todo ^= low
-            if valid & low:  # "first" reached a gap whose record holds
-                break
             j = low.bit_length() - 1
             a, c = masks[j]
             old = ws[j]
@@ -258,7 +271,6 @@ class Teacher:
             for pair in used:
                 users[pair] = users.get(pair, 0) | low
             ws[j], useds[j] = w, used
-            valid |= low
             gap = c & ~w
             diff = (old if c & ~old else 0) ^ (w if gap else 0)
             while diff:
@@ -267,51 +279,18 @@ class Teacher:
                 diff ^= bit
             if gap:
                 gaps |= low
-                if first:
-                    break
-        self._valid, self._gapbits = valid, gaps
+        self._gapbits = gaps
         if not gaps:
             return None
-        if first:
-            return _low_bit(gaps)
+        if self.strategy == "minimal":
+            n = self.target.arity
+            return min(
+                _bit_list(gaps), key=lambda j: (ws[j].bit_count(), _lex_key(ws[j], n))
+            )
         if self.strategy == "random":
             for _ in range(self._rng.choice(range(gaps.bit_count()))):
                 gaps &= gaps - 1
-            return _low_bit(gaps)
-        n = self.target.arity
-        return min(
-            _bit_list(gaps), key=lambda j: (ws[j].bit_count(), _lex_key(ws[j], n))
-        )
-
-    def _sync(self, hyp: HornFormula) -> None:
-        """Drop the records that may not hold for `hyp`.
-
-        A record that used a departed pair is dropped through `_users`.  A
-        valid gap record keeps `w`, the closure of `a` under the previous
-        hypothesis: the pairs that stayed do not fire on it, so it is the
-        closure under `hyp` unless an entered pair `(x, y)` fires on it.
-        The gap slots whose `w` holds `x` are the AND of `x`'s columns.
-        """
-        have = set(hyp._masks)
-        last, self._have = self._have, have
-        valid, users = self._valid, self._users
-        for pair in last - have:
-            valid &= ~users.pop(pair, 0)
-        gaps = self._gapbits & valid
-        cols, ws = self._cols, self._w
-        stale = 0
-        for x, y in have - last:
-            fired = gaps
-            while x and fired:
-                bit = x & -x
-                fired &= cols[bit.bit_length() - 1]
-                x ^= bit
-            while fired:
-                low = fired & -fired
-                if y & ~ws[low.bit_length() - 1]:
-                    stale |= low
-                fired ^= low
-        self._valid, self._gapbits = valid & ~stale, gaps & ~stale
+        return _low_bit(gaps)
 
     def _minimal_clause(self, hyp: HornFormula) -> EntailmentClause | None:
         # ascending antecedents (by size, then position), smallest head wins

@@ -22,7 +22,7 @@ from hornlearn import (
     satisfies,
 )
 
-from hornlearn import core
+from hornlearn import core, oracles
 from hornlearn.generate import GenConfig, random_formula
 from hornlearn.oracles import MINIMAL_STRATEGY_MAX_ARITY
 
@@ -372,10 +372,9 @@ class TestLongLivedTeacher:
 
     @pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
     def test_resumed_slots_answer_like_a_fresh_scan(self, strategy):
-        # one seq per hypothesis, so a gap record is kept or dropped across
-        # every change; under "first" the slots behind the first gap keep
-        # records that no longer hold.  Arities up to 20 make chains several
-        # passes deep.
+        # one seq per hypothesis, so a gap record is kept or re-derived
+        # across every change.  Arities up to 20 make chains several passes
+        # deep.
         rng = random.Random(68)
         top = MINIMAL_STRATEGY_MAX_ARITY if strategy == "minimal" else 20
         for _ in range(10):
@@ -394,6 +393,31 @@ class TestLongLivedTeacher:
                 assert teacher.seq(h) == want
 
             _assert_bounded_records(teacher, h)
+
+    @pytest.mark.parametrize(
+        "strategy, seed", [("first", None), ("random", 7), ("minimal", None)]
+    )
+    def test_first_answer_on_the_empty_hypothesis_derives_nothing(
+        self, monkeypatch, strategy, seed
+    ):
+        # a new teacher's records are the derivations under the empty
+        # hypothesis, which every learner asks first
+        calls = []
+        derive = oracles._derive
+        monkeypatch.setattr(
+            oracles, "_derive", lambda *args: calls.append(args) or derive(*args)
+        )
+        target = random_formula(GenConfig(12, 48, (1, 4), (1, 2), seed=3))
+        empty = HornFormula(target.arity, [])
+        # the "minimal" eeq enumerates antecedents and reads no record
+        queries = ["seq"] if strategy == "minimal" else ["seq", "eeq"]
+        for query in queries:
+            teacher = Teacher(target, strategy=strategy, seed=seed)
+            plain = FreshScanTeacher(target, strategy=strategy, seed=seed)
+            got = getattr(teacher, query)(empty)
+            assert got is not None and got == getattr(plain, query)(empty)
+            _assert_bounded_records(teacher, empty)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "strategy, seed", [("first", None), ("random", 7), ("minimal", None)]
@@ -418,15 +442,32 @@ class TestLongLivedTeacher:
 
 def _assert_bounded_records(teacher, last):
     """The slot records' invariants after the hypothesis `last`: one record
-    per target implication, each pair of its `used` added a bit, the gap
-    slots are valid ones, and `_users` holds only pairs of `last`."""
+    per target implication, each pair of its `used` a pair of `last` that
+    added a bit, chaining `a` over `used` reaches `w`, a gap record's `w` is
+    the closure of `a` under `last`, and the slot masks are the ones rebuilt
+    from the records."""
     target = teacher.target
     assert len(teacher._w) == len(teacher._used) == len(target)
-    assert teacher._gapbits & ~teacher._valid == 0
-    assert teacher._valid >> len(target) == 0
-    for (a, _), w, used in zip(target._masks, teacher._w, teacher._used):
+    have = set(last._masks)
+    gapbits, cols, users = 0, [0] * target.arity, {}
+    for j, ((a, c), w, used) in enumerate(
+        zip(target._masks, teacher._w, teacher._used)
+    ):
         assert len(used) <= (w & ~a).bit_count()
-    assert teacher._users.keys() <= set(last._masks)
+        assert set(used) <= have
+        assert core._chain(a, used) == w
+        for pair in used:
+            users[pair] = users.get(pair, 0) | 1 << j
+        if c & ~w:
+            assert w == last.close(a)
+            gapbits |= 1 << j
+            for v in range(target.arity):
+                if w >> v & 1:
+                    cols[v] |= 1 << j
+    assert teacher._gapbits == gapbits
+    assert teacher._cols == cols
+    assert teacher._users.keys() <= have
+    assert {p: u for p, u in teacher._users.items() if u} == users
 
 
 class TestMembershipMemo:
