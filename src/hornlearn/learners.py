@@ -9,8 +9,10 @@ canonical in general.
 
 Each learner's state is one list of (antecedent, consequent) mask pairs,
 and each round's hypothesis is ``HornFormula._of(n, pairs)``: in ``clh``,
-the paper's hyp(N) = {y -> y* : y in N}.  An :class:`Assignment` is built
-only where a teacher query needs one.
+the paper's hyp(N) = {y -> y* : y in N}.  Queries are asked as
+:class:`Assignment` values, one per distinct query mask per run: a run keeps
+the value it asked each mask with and hands the teacher that same value when
+the mask comes up again.  Every query is still asked.
 
 Both take any teacher-shaped object: ``clh`` needs ``cq``/``seq``, ``afp``
 needs ``smq``/``seq``, plus ``arity`` and ``stats``.  An equivalence answer
@@ -101,6 +103,7 @@ def clh(teacher) -> LearnerReport:
     n = teacher.arity
     pairs: list[tuple[int, int]] = []
     trace: list[TraceEvent] = []
+    asked: dict[int, Assignment] = {}
 
     while True:
         current = HornFormula._of(n, pairs)
@@ -115,13 +118,16 @@ def clh(teacher) -> LearnerReport:
         for i, (y_i, _) in enumerate(pairs):
             y = x.mask & y_i
             if y != y_i:
-                closed = _cq_above(teacher, Assignment(y, n)).mask
+                query = asked.get(y)
+                if query is None:
+                    query = asked[y] = Assignment(y, n)
+                closed = _cq_above(teacher, query).mask
                 if closed != y:
                     pairs[i] = (y, closed)
                     trace.append(TraceEvent("refine", i, current, x))
                     break
         else:
-            closed = _cq_above(teacher, x).mask
+            closed = _cq_above(teacher, asked.setdefault(x.mask, x)).mask
             if closed == x.mask:
                 raise ProtocolError(
                     f"closure query returned {x} for the negative "
@@ -146,6 +152,7 @@ def afp(teacher) -> LearnerReport:
     pairs: list[tuple[int, int]] = []
     positives: list[int] = []
     trace: list[TraceEvent] = []
+    asked: dict[int, Assignment] = {}
 
     def strongest_consequent(y: int) -> int:
         c = full & ~y
@@ -169,7 +176,12 @@ def afp(teacher) -> LearnerReport:
             # satisfies the hypothesis, hence falsifies the target: negative
             for i, (y_i, _) in enumerate(pairs):
                 y = x.mask & y_i
-                if y != y_i and not teacher.smq(Assignment(y, n)):
+                if y == y_i:
+                    continue
+                query = asked.get(y)
+                if query is None:
+                    query = asked[y] = Assignment(y, n)
+                if not teacher.smq(query):
                     pairs[i] = (y, strongest_consequent(y))
                     trace.append(TraceEvent("refine", i, current, x))
                     break

@@ -359,3 +359,54 @@ def test_golden_counterexample_sequence(algo, strategy, seed):
     assert (counts, len(report.output), zlib.crc32(sequence.encode())) == (
         GOLDEN_RUNS[algo, strategy, seed]
     )
+
+
+class QueryRecorder:
+    """Forwards everything to `teacher`, keeping each `cq` and `smq` query
+    object in order; holding them keeps their ids distinct."""
+
+    def __init__(self, teacher):
+        self._teacher = teacher
+        self.queries = []
+
+    def __getattr__(self, name):
+        return getattr(self._teacher, name)
+
+    def cq(self, y):
+        self.queries.append(y)
+        return self._teacher.cq(y)
+
+    def smq(self, x):
+        self.queries.append(x)
+        return self._teacher.smq(x)
+
+
+# (algorithm, strategy, seed) -> (queries asked, distinct masks, CRC-32 of
+# the mask sequence), for cq under clh and smq under afp
+QUERY_SEQUENCES = {
+    ("clh", "first", None): (94, 25, 0x5BD09268),
+    ("clh", "random", 7): (100, 32, 0x35125C93),
+    ("clh", "minimal", None): (83, 25, 0x0CE56628),
+    ("afp", "first", None): (78, 13, 0xEE9C5599),
+    ("afp", "random", 7): (79, 14, 0xAC4D5F5B),
+    ("afp", "minimal", None): (70, 12, 0xB115F362),
+}
+
+
+@pytest.mark.parametrize("algo, strategy, seed", list(QUERY_SEQUENCES))
+def test_one_query_value_per_mask(algo, strategy, seed):
+    # a repeated query is the value the run first asked its mask with;
+    # every query is still asked, in the same order
+    teacher = Teacher(random_formula(GOLDEN_TARGET), strategy=strategy, seed=seed)
+    recorder = QueryRecorder(teacher)
+    LEARNERS[algo](recorder)
+    masks = [q.mask for q in recorder.queries]
+    ids = {}
+    for q in recorder.queries:
+        ids.setdefault(q.mask, set()).add(id(q))
+    assert all(len(objects) == 1 for objects in ids.values())
+    sequence = " ".join(map(str, masks)).encode()
+    assert (len(masks), len(ids), zlib.crc32(sequence)) == (
+        QUERY_SEQUENCES[algo, strategy, seed]
+    )
+    assert len(masks) == teacher.stats.cq + teacher.stats.smq

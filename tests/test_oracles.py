@@ -148,6 +148,65 @@ class TestMembershipAndClosure:
         # failed queries are not counted
         assert t.stats.smq == 1 and t.stats.seq == 1
 
+    @pytest.mark.parametrize(
+        "kind, query, message",
+        [
+            ("cq", asg("111"), "assignment length 3 vs arity 5"),
+            ("cq", asg("1010101"), "assignment length 7 vs arity 5"),
+            ("smq", asg("111"), "assignment length 3 vs arity 5"),
+            ("smq", asg("000000"), "assignment length 6 vs arity 5"),
+            (
+                "emq",
+                EntailmentClause([1, 7], 0),
+                "variable index 7 out of range for arity 5",
+            ),
+            (
+                "emq",
+                EntailmentClause([0, 4], 5),
+                "variable index 5 out of range for arity 5",
+            ),
+            (
+                "emq",
+                EntailmentClause([], 9),
+                "variable index 9 out of range for arity 5",
+            ),
+        ],
+    )
+    def test_refusals_leave_every_counter(self, gd_example, kind, query, message):
+        t = Teacher(gd_example)
+        t.cq(Assignment.zero(5))
+        t.smq(Assignment.full(5))
+        t.emq(EntailmentClause(vs("e"), 3))
+        before = t.stats.copy()
+        with pytest.raises(ArityError) as refused:
+            getattr(t, kind)(query)
+        assert str(refused.value) == message
+        assert t.stats == before
+
+    def test_fitting_queries_read_one_basis_closure_each(
+        self, gd_example, monkeypatch
+    ):
+        # a query that fits the arity runs no check and no core helper; it
+        # closes once through HornFormula.close on the teacher's basis
+        def forbidden(*args):
+            raise AssertionError("called on a fitting query")
+
+        for name in ("_check_length", "_check_fits", "satisfies", "entails"):
+            monkeypatch.setattr(oracles, name, forbidden, raising=False)
+        closed = []
+        close = HornFormula.close
+
+        def traced(formula, mask):
+            closed.append((formula, mask))
+            return close(formula, mask)
+
+        monkeypatch.setattr(HornFormula, "close", traced)
+        t = Teacher(gd_example)
+        closed.clear()
+        x, clause = Assignment.from_vars(vs("ad"), 5), EntailmentClause(vs("cd"), 1)
+        assert t.cq(x).ones() == vs("abcde") and not t.smq(x) and t.emq(clause)
+        assert closed == [(t._basis, x.mask)] * 2 + [(t._basis, clause._mask)]
+
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11, 2**40 + 5])
 def test_random_pick_by_range_draws_like_a_pick_from_the_list(seed):
@@ -491,11 +550,16 @@ class TestMembershipMemo:
                 assert teacher.smq(x) == (mask in is_model)
                 asked += 1
                 assert teacher.stats.smq == asked
+                closed = brute_closure_mask(mask, target)
                 if rng.random() < 0.5:
-                    assert teacher.cq(x).mask == brute_closure_mask(mask, target)
+                    assert teacher.cq(x).mask == closed
+                head = rng.randrange(n)
+                clause = EntailmentClause._of(mask, head)
+                assert teacher.emq(clause) == bool(closed >> head & 1)
                 clears += len(memo) < before
                 assert len(memo) <= 8
         assert asked == 2 << n and clears > 0
+        assert teacher.stats.emq == asked
 
 
 def _awkward_targets():
