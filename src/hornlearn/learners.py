@@ -47,6 +47,19 @@ def _cq_above(teacher, y: Assignment) -> Assignment:
     return closed
 
 
+class _Queries(dict):
+    """One run's query values by mask: ``queries[mask]`` is the Assignment
+    the run first asked `mask` with, built on the first lookup."""
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, mask: int) -> Assignment:
+        query = self[mask] = Assignment(mask, self.n)
+        return query
+
+
 def _seq_fitting(teacher, hypothesis: HornFormula) -> Assignment | None:
     """The teacher's equivalence answer to `hypothesis`; ProtocolError unless
     a counterexample has the hypothesis's arity as its length."""
@@ -103,7 +116,7 @@ def clh(teacher) -> LearnerReport:
     n = teacher.arity
     pairs: list[tuple[int, int]] = []
     trace: list[TraceEvent] = []
-    asked: dict[int, Assignment] = {}
+    asked = _Queries(n)
 
     while True:
         current = HornFormula._of(n, pairs)
@@ -118,10 +131,7 @@ def clh(teacher) -> LearnerReport:
         for i, (y_i, _) in enumerate(pairs):
             y = x.mask & y_i
             if y != y_i:
-                query = asked.get(y)
-                if query is None:
-                    query = asked[y] = Assignment(y, n)
-                closed = _cq_above(teacher, query).mask
+                closed = _cq_above(teacher, asked[y]).mask
                 if closed != y:
                     pairs[i] = (y, closed)
                     trace.append(TraceEvent("refine", i, current, x))
@@ -152,7 +162,7 @@ def afp(teacher) -> LearnerReport:
     pairs: list[tuple[int, int]] = []
     positives: list[int] = []
     trace: list[TraceEvent] = []
-    asked: dict[int, Assignment] = {}
+    asked = _Queries(n)
 
     def strongest_consequent(y: int) -> int:
         c = full & ~y
@@ -176,12 +186,7 @@ def afp(teacher) -> LearnerReport:
             # satisfies the hypothesis, hence falsifies the target: negative
             for i, (y_i, _) in enumerate(pairs):
                 y = x.mask & y_i
-                if y == y_i:
-                    continue
-                query = asked.get(y)
-                if query is None:
-                    query = asked[y] = Assignment(y, n)
-                if not teacher.smq(query):
+                if y != y_i and not teacher.smq(asked[y]):
                     pairs[i] = (y, strongest_consequent(y))
                     trace.append(TraceEvent("refine", i, current, x))
                     break

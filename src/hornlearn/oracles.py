@@ -37,13 +37,14 @@ from .core import (
     EntailmentClause,
     HornFormula,
     _bit_list,
-    _check_fits,
     _check_length,
     _check_same_arity,
     _derive,
     _gaps,
     _lex_key,
     _low_bit,
+    entails,
+    satisfies,
 )
 
 __all__ = [
@@ -99,10 +100,7 @@ class Teacher:
     answers are the same.  The teacher holds that basis (at most m pairs)
     and its one bounded closure memo; the target's own memo stays empty.
     The build is a fixed cost per teacher: about 0.06-0.09 ms on a tiny
-    target (n below 10), about 5-7 ms at n=100, m=400.  `smq`, `cq` and
-    `emq` read that closure straight from `_basis.close`, in one frame
-    when the query fits the arity; only a misfit calls the shared check,
-    which raises ArityError with its message.
+    target (n below 10), about 5-7 ms at n=100, m=400.
 
     Equivalence answers keep one record per target implication `a -> c`
     (slot j), the result of its last derivation `_derive(a, pairs, c)`:
@@ -140,7 +138,6 @@ class Teacher:
         self.target = target
         self.strategy = strategy
         self.stats = QueryStats()
-        self._n = target.arity
         self._rng = random.Random(seed) if seed is not None else None
         masks = target._masks
         self._w = [a for a, _ in masks]
@@ -156,26 +153,18 @@ class Teacher:
         return self.target.arity
 
     def smq(self, x: Assignment) -> bool:
-        if x.n != self._n:
-            _check_length(x, self._n)
-        mask = x.mask
-        answer = self._basis.close(mask) == mask
+        answer = satisfies(x, self._basis)  # validates the length
         self.stats.smq += 1
         return answer
 
     def cq(self, y: Assignment) -> Assignment:
-        if y.n != self._n:
-            _check_length(y, self._n)
+        _check_length(y, self.target.arity)
         self.stats.cq += 1
-        mask = y.mask
-        closed = self._basis.close(mask)
-        return y if closed == mask else Assignment(closed, y.n)
+        closed = self._basis.close(y.mask)
+        return y if closed == y.mask else Assignment(closed, y.n)
 
     def emq(self, clause: EntailmentClause) -> bool:
-        mask, head = clause._mask, clause.head
-        if (mask | 1 << head) >> self._n:
-            _check_fits(mask | 1 << head, self._n)
-        answer = self._basis.close(mask) >> head & 1 == 1
+        answer = entails(self._basis, clause)  # validates the clause
         self.stats.emq += 1
         return answer
 

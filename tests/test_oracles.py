@@ -183,30 +183,6 @@ class TestMembershipAndClosure:
         assert str(refused.value) == message
         assert t.stats == before
 
-    def test_fitting_queries_read_one_basis_closure_each(
-        self, gd_example, monkeypatch
-    ):
-        # a query that fits the arity runs no check and no core helper; it
-        # closes once through HornFormula.close on the teacher's basis
-        def forbidden(*args):
-            raise AssertionError("called on a fitting query")
-
-        for name in ("_check_length", "_check_fits", "satisfies", "entails"):
-            monkeypatch.setattr(oracles, name, forbidden, raising=False)
-        closed = []
-        close = HornFormula.close
-
-        def traced(formula, mask):
-            closed.append((formula, mask))
-            return close(formula, mask)
-
-        monkeypatch.setattr(HornFormula, "close", traced)
-        t = Teacher(gd_example)
-        closed.clear()
-        x, clause = Assignment.from_vars(vs("ad"), 5), EntailmentClause(vs("cd"), 1)
-        assert t.cq(x).ones() == vs("abcde") and not t.smq(x) and t.emq(clause)
-        assert closed == [(t._basis, x.mask)] * 2 + [(t._basis, clause._mask)]
-
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11, 2**40 + 5])
 def test_random_pick_by_range_draws_like_a_pick_from_the_list(seed):
