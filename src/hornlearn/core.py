@@ -143,7 +143,7 @@ def default_names(arity: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(arity))
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """An n-bit truth assignment, ordered bitwise with 0 <= 1.
 
@@ -156,13 +156,12 @@ class Assignment:
     mask: int
     n: int
 
-    def __init__(self, mask: int, n: int) -> None:
+    def __post_init__(self) -> None:
+        mask, n = self.mask, self.n
         if n < 0:
             raise ArityError(f"negative arity {n}")
         if mask < 0 or mask >> n:
             raise ArityError(f"mask {mask:#x} does not fit {n} bits")
-        _set_assignment_mask(self, mask)
-        _set_assignment_n(self, n)
 
     @classmethod
     def from_vars(cls, variables: Iterable[int], n: int) -> "Assignment":
@@ -222,14 +221,6 @@ class Assignment:
         return f"Assignment({str(self)!r})"
 
 
-# The slot setters of the frozen value classes, which their constructors
-# call directly.  Every query builds at least one Assignment or clause, and
-# a bound slot setter costs less per call than object.__setattr__, which
-# first checks the type and looks up the name.
-_set_assignment_mask = Assignment.mask.__set__
-_set_assignment_n = Assignment.n.__set__
-
-
 @dataclass(frozen=True, slots=True)
 class Implication:
     """`antecedent -> consequent` over variable index sets; consequent nonempty."""
@@ -284,6 +275,10 @@ class EntailmentClause:
     __repr__ = __str__
 
 
+# The clause's slot setters, which its constructors call directly.  Every
+# entailment query builds a clause, and a bound slot setter costs less per
+# call than object.__setattr__, which first checks the type and looks up the
+# name.
 _set_clause_mask = EntailmentClause._mask.__set__
 _set_clause_head = EntailmentClause.head.__set__
 

@@ -217,10 +217,9 @@ class _Adapter:
         finally:
             after = _snapshot(stats)
             spent = {}
-            if after != before:
-                for kind, b, a in zip(_KINDS, before, after):
-                    if a != b:
-                        spent[kind] = a - b
+            for kind, b, a in zip(_KINDS, before, after):
+                if a != b:
+                    spent[kind] = a - b
             self.adapter_stats.calls.append((op, spent))
 
 

@@ -107,6 +107,16 @@ class TestAssignment:
         with pytest.raises(ValueError, match="not a bit string"):
             Assignment.from_string("1x0")
 
+    def test_constructor_checks_every_way_in(self):
+        # keyword calls and dataclasses.replace run the same checks
+        assert Assignment(mask=5, n=3) == Assignment(5, 3)
+        with pytest.raises(ArityError, match="^mask 0x8 does not fit 3 bits$"):
+            dataclasses.replace(Assignment(1, 3), mask=8)
+        with pytest.raises(TypeError):
+            Assignment(1.0, 1)
+        with pytest.raises(ArityError, match="^negative arity -1$"):
+            Assignment(0, -1)
+
     def test_extremes(self):
         assert Assignment.zero(3) == asg("000")
         assert Assignment.full(3) == asg("111")

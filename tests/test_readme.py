@@ -1,7 +1,11 @@
-"""The README's library example runs and prints what its comment says."""
+"""The README's library example runs and prints what its comment says, and
+its CLI synopsis names every option of `learn`."""
 
+import argparse
 import re
 from pathlib import Path
+
+from hornlearn.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +17,25 @@ def test_library_example_prints_its_comment(capsys):
     comment = re.search(r"^print\(.*\)\s+# (.*)$", code, re.MULTILINE).group(1)
     assert comment == "{a -> a b c d, c -> c d}"
     assert capsys.readouterr().out == comment + "\n"
+
+
+def test_cli_synopsis_names_every_learn_option():
+    learn = next(
+        action.choices["learn"]
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    options = {
+        option
+        for action in learn._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    section = README.read_text().split("## CLI\n", 1)[1]
+    synopsis = re.match(r"\s*```bash\n(.*?)```", section, re.DOTALL).group(1)
+    # the learn entry runs from its command to the next command
+    entry = re.search(
+        r"^hornlearn learn .*?(?=^hornlearn )", synopsis, re.DOTALL | re.MULTILINE
+    )
+    named = set(re.findall(r"--[\w-]+", entry.group(0)))
+    assert options - named == set()

@@ -378,6 +378,21 @@ class TestAdapters:
         assert inner.stats.as_dict() == before
         assert adapter.adapter_stats.calls == [("cq", {"emq": 3}), ("cq", {})]
 
+    def test_a_call_that_spends_nothing_logs_an_empty_spend(self, gd_example):
+        # both calls go through _Adapter._run; neither is a memo hit
+        adapter = ClosureFromStandard(Teacher(gd_example))
+        y = Assignment.from_vars(vs("ad"), 5)
+        assert adapter.cq(y) == adapter.cq(y)
+        assert adapter.adapter_stats.calls == [
+            ("cq", {"seq": 9, "smq": 11}),
+            ("cq", {}),
+        ]
+        inner = Teacher(gd_example)
+        adapter = ClosureFromEntailment(inner)
+        assert adapter.smq(Assignment.full(5))  # no variable left to ask about
+        assert adapter.adapter_stats.calls == [("smq", {})]
+        assert inner.stats == QueryStats()
+
     def test_memoized_mask_of_the_wrong_length_is_rejected(self, gd_example):
         inner = Teacher(gd_example)
         adapter = ClosureFromEntailment(inner)
