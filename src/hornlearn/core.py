@@ -5,8 +5,9 @@ variables is an n-bit vector, and a variable set is the same vector read as
 the set of variables it maps to 1: the subset order on variable sets is the
 bitwise order on assignments.  Everything is stored in that form, as int bit
 masks with variable i at bit i.  Frozensets of indices appear only at the
-API edge, as read-only views built from the masks (``Implication``,
-``HornFormula.implications``, ``EntailmentClause.antecedent``).
+API edge, as read-only views built from the masks on each read
+(``Implication.antecedent`` and ``.consequent``,
+``EntailmentClause.antecedent``).
 
 An implication ``antecedent -> consequent`` (consequent nonempty, antecedent
 possibly empty) abbreviates the conjunction of definite Horn clauses with one
@@ -23,9 +24,9 @@ asks ``close``.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, starmap
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -221,21 +222,45 @@ class Assignment:
         return f"Assignment({str(self)!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Implication:
-    """`antecedent -> consequent` over variable index sets; consequent nonempty."""
+    """`antecedent -> consequent` over variable index sets; consequent nonempty.
 
-    antecedent: frozenset[int]
-    consequent: frozenset[int]
+    Stored as two bit masks, `_a` and `_c`; `antecedent` and `consequent`
+    are frozenset views built on each read (equal, not identical, from one
+    read to the next).  Implications compare and hash by their masks, that
+    is, by their two sets.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "antecedent", frozenset(self.antecedent))
-        object.__setattr__(self, "consequent", frozenset(self.consequent))
-        if not self.consequent:
+    _a: int
+    _c: int
+
+    def __init__(self, antecedent: Iterable[int], consequent: Iterable[int]) -> None:
+        a, c = _mask_of(antecedent), _mask_of(consequent)
+        if not c:
             raise ValueError("implication consequent must be nonempty")
+        _set_implication_a(self, a)
+        _set_implication_c(self, c)
+
+    @classmethod
+    def _of(cls, a: int, c: int) -> "Implication":
+        """The implication with antecedent mask `a` and consequent mask `c`,
+        built without a copy or a check."""
+        implication = cls.__new__(cls)
+        _set_implication_a(implication, a)
+        _set_implication_c(implication, c)
+        return implication
+
+    @property
+    def antecedent(self) -> frozenset[int]:
+        return frozenset(_bit_list(self._a))
+
+    @property
+    def consequent(self) -> frozenset[int]:
+        return frozenset(_bit_list(self._c))
 
     def __str__(self) -> str:
-        return _line(sorted(self.antecedent), sorted(self.consequent))
+        return _line(_bit_list(self._a), _bit_list(self._c))
 
     __repr__ = __str__
 
@@ -275,12 +300,33 @@ class EntailmentClause:
     __repr__ = __str__
 
 
-# The clause's slot setters, which its constructors call directly.  Every
-# entailment query builds a clause, and a bound slot setter costs less per
-# call than object.__setattr__, which first checks the type and looks up the
-# name.
+# The slot setters that the implication's and the clause's constructors call
+# directly.  Every entailment query builds a clause and every implication
+# view builds one implication per pair, and a bound slot setter costs less
+# per call than object.__setattr__, which first checks the type and looks up
+# the name.
+_set_implication_a = Implication._a.__set__
+_set_implication_c = Implication._c.__set__
 _set_clause_mask = EntailmentClause._mask.__set__
 _set_clause_head = EntailmentClause.head.__set__
+
+
+# `slots=True` rebuilds a class, and the frozen `__setattr__` and
+# `__delattr__` that dataclasses generate call `super()` with the class it
+# replaced, which raises TypeError for any name but a field.  A frozen class
+# body may not define these two, so they are installed here.
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+for _cls in (Assignment, Implication, EntailmentClause):
+    _cls.__setattr__ = _refuse_set
+    _cls.__delattr__ = _refuse_delete
+del _cls
 
 
 @dataclass(frozen=True, init=False)
@@ -289,9 +335,10 @@ class HornFormula:
 
     Stored as `_masks`, (antecedent, consequent) bit-mask pairs, and read
     through `implications`, a view built on first use (or kept from the
-    constructor's Implication values).  The name table is presentation only:
-    it is excluded from equality and hashing, so formulas compare by arity
-    and implication list.  Pickles and copies carry the masks and names
+    constructor's Implication values) whose implications share the pairs'
+    masks; each one builds its frozensets on each read.  The name table is
+    presentation only: it is excluded from equality and hashing, so formulas
+    compare by arity and implication list.  Pickles and copies carry the masks and names
     only, not the cached view or the closure memo.
     """
 
@@ -306,11 +353,7 @@ class HornFormula:
         names: Sequence[str] | None = None,
     ) -> None:
         implications = tuple(implications)
-        self._set(
-            arity,
-            [(_mask_of(i.antecedent), _mask_of(i.consequent)) for i in implications],
-            names,
-        )
+        self._set(arity, [(i._a, i._c) for i in implications], names)
         object.__setattr__(self, "implications", implications)
 
     @classmethod
@@ -346,7 +389,7 @@ class HornFormula:
 
     @cached_property
     def implications(self) -> tuple[Implication, ...]:
-        return tuple(Implication(_bit_list(a), _bit_list(c)) for a, c in self._masks)
+        return tuple(starmap(Implication._of, self._masks))
 
     @cached_property
     def _closure_cache(self) -> dict[int, int]:

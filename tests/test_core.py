@@ -3,6 +3,7 @@ import dataclasses
 import operator
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -163,8 +164,27 @@ class TestFormulaConstruction:
         assert not hasattr(i, "__dict__")
 
     def test_consequent_must_be_nonempty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^implication consequent must be nonempty$"):
             Implication(frozenset({0}), frozenset())
+
+    @pytest.mark.parametrize("antecedent, consequent", [([-1], [0]), ([0], [-1])])
+    def test_implication_refuses_a_negative_index(self, antecedent, consequent):
+        # a mask has no bit for a negative index, so the value refuses it
+        with pytest.raises(ArityError, match="^negative variable index -1$"):
+            Implication(antecedent, consequent)
+
+    def test_implication_view_is_two_masks(self):
+        # 488 B per implication while the view held two frozensets
+        masks = random_formula(GenConfig(100, 400, (1, 4), (1, 2), seed=1))._masks
+        f = HornFormula._of(100, masks)
+        tracemalloc.start()
+        try:
+            view = f.implications
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(view) == 400
+        assert size / len(view) < 128
 
     def test_empty_antecedent_is_fine(self):
         assert imp("", "a").antecedent == frozenset()
@@ -195,8 +215,8 @@ class TestFormulaConstruction:
             (Implication(frozenset({0, 2, 4}), frozenset({1, 3})), "0 2 4 -> 1 3"),
             # both sets iterate in descending order: [33, 10, 2], [8, 1]
             (Implication(frozenset([33, 10, 2]), frozenset([8, 1])), "2 10 33 -> 1 8"),
-            # no formula accepts it, but it still prints
-            (Implication(frozenset({-1}), frozenset({0})), "-1 -> 0"),
+            # masks past a machine word, taken as they are
+            (Implication._of(0, 1 << 70 | 1 << 64), "-> 64 70"),
             (EntailmentClause([], 1), "-> 1"),
             (EntailmentClause({0, 2, 4}, 3), "0 2 4 -> 3"),
             (EntailmentClause(frozenset([33, 10, 2]), 10), "2 10 33 -> 10"),
@@ -206,6 +226,28 @@ class TestFormulaConstruction:
         assert str(value) == text
         assert repr(value) == text
         assert value.antecedent == {int(v) for v in text.split("->")[0].split()}
+
+
+FROZEN_VALUES = {
+    "Assignment": (Assignment(3, 4), "mask", "count"),
+    "Implication": (Implication([0], [1]), "_a", "antecedent"),
+    "EntailmentClause": (EntailmentClause([0], 1), "head", "antecedent"),
+}
+
+
+@pytest.mark.parametrize("kind", ["field", "property", "unknown"])
+@pytest.mark.parametrize("cls", FROZEN_VALUES)
+def test_frozen_values_refuse_every_assignment_and_deletion(cls, kind):
+    value, field, prop = FROZEN_VALUES[cls]
+    name = {"field": field, "property": prop, "unknown": "other"}[kind]
+    with pytest.raises(
+        dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"
+    ):
+        setattr(value, name, 1)
+    with pytest.raises(
+        dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"
+    ):
+        delattr(value, name)
 
 
 class TestClosure:

@@ -1,9 +1,11 @@
 """The README's library example runs and prints what its comment says, and
-its CLI synopsis names every option of `learn`."""
+its CLI synopsis names every option of every subcommand."""
 
 import argparse
 import re
 from pathlib import Path
+
+import pytest
 
 from hornlearn.cli import build_parser
 
@@ -19,23 +21,28 @@ def test_library_example_prints_its_comment(capsys):
     assert capsys.readouterr().out == comment + "\n"
 
 
-def test_cli_synopsis_names_every_learn_option():
-    learn = next(
-        action.choices["learn"]
-        for action in build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
+SUBCOMMANDS = next(
+    action.choices
+    for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cli_synopsis_names_every_option(command):
     options = {
         option
-        for action in learn._actions
+        for action in SUBCOMMANDS[command]._actions
         if not isinstance(action, argparse._HelpAction)
         for option in action.option_strings
     }
     section = README.read_text().split("## CLI\n", 1)[1]
     synopsis = re.match(r"\s*```bash\n(.*?)```", section, re.DOTALL).group(1)
-    # the learn entry runs from its command to the next command
+    # an entry runs from its command to the next command or the end
     entry = re.search(
-        r"^hornlearn learn .*?(?=^hornlearn )", synopsis, re.DOTALL | re.MULTILINE
+        rf"^hornlearn {command} .*?(?=^hornlearn |\Z)",
+        synopsis,
+        re.DOTALL | re.MULTILINE,
     )
     named = set(re.findall(r"--[\w-]+", entry.group(0)))
     assert options - named == set()
