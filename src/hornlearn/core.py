@@ -239,16 +239,16 @@ class Implication:
         a, c = _mask_of(antecedent), _mask_of(consequent)
         if not c:
             raise ValueError("implication consequent must be nonempty")
-        _set_implication_a(self, a)
-        _set_implication_c(self, c)
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_c", c)
 
     @classmethod
     def _of(cls, a: int, c: int) -> "Implication":
         """The implication with antecedent mask `a` and consequent mask `c`,
         built without a copy or a check."""
         implication = cls.__new__(cls)
-        _set_implication_a(implication, a)
-        _set_implication_c(implication, c)
+        object.__setattr__(implication, "_a", a)
+        object.__setattr__(implication, "_c", c)
         return implication
 
     @property
@@ -300,13 +300,10 @@ class EntailmentClause:
     __repr__ = __str__
 
 
-# The slot setters that the implication's and the clause's constructors call
-# directly.  Every entailment query builds a clause and every implication
-# view builds one implication per pair, and a bound slot setter costs less
-# per call than object.__setattr__, which first checks the type and looks up
-# the name.
-_set_implication_a = Implication._a.__set__
-_set_implication_c = Implication._c.__set__
+# The clause's slot setters, which its constructors call directly.  Every
+# entailment query builds a clause, and a bound slot setter costs less per
+# call than object.__setattr__, which first checks the type and looks up the
+# name.
 _set_clause_mask = EntailmentClause._mask.__set__
 _set_clause_head = EntailmentClause.head.__set__
 
@@ -338,8 +335,8 @@ class HornFormula:
     constructor's Implication values) whose implications share the pairs'
     masks; each one builds its frozensets on each read.  The name table is
     presentation only: it is excluded from equality and hashing, so formulas
-    compare by arity and implication list.  Pickles and copies carry the masks and names
-    only, not the cached view or the closure memo.
+    compare by arity and implication list.  Pickles and copies carry the
+    masks and names only, not the cached view or the closure memo.
     """
 
     arity: int

@@ -510,12 +510,6 @@ class TestRepresentation:
             rebuilt = HornFormula(g.arity, g.implications)
             assert rebuilt == g
             assert hash(rebuilt) == hash(g)
-
-    @PROPERTY
-    @given(formulas(max_arity=30))
-    def test_implications_are_views_of_the_masks(self, f):
-        for g in (f, gd_basis(f)):
-            assert HornFormula(g.arity, g.implications)._masks == g._masks
             for i in g.implications:
                 rebuilt = Implication(i.antecedent, i.consequent)
                 assert rebuilt == i and hash(rebuilt) == hash(i)
