@@ -7,10 +7,12 @@ Grammar::
     # comment to end of line
 
 Tokens are nonempty runs of letters, digits and underscores and must all be
-declared in the header; an empty antecedent is written ``-> tok ...``.  The
-serializer emits the header, then implications in list order with single
-spaces, and parse(serialize(f)) == f, name table included, for every valid
-formula; it raises ValueError on a name table that the header rule rejects.
+declared in the header; an empty antecedent is written ``-> tok ...``.  An
+implication line holds exactly one ``->``, spaced or not (``a->b`` reads as
+``a -> b``).  The serializer emits the header, then implications in list
+order with single spaces, and parse(serialize(f)) == f, name table included,
+for every valid formula; it raises ValueError on a name table that the
+header rule rejects.
 """
 
 from __future__ import annotations
@@ -64,12 +66,11 @@ def parse_formula(text: str) -> HornFormula:
             except ValueError as exc:
                 raise FormulaParseError(line_no, str(exc)) from None
             continue
-        tokens = line.split()
-        if _ARROW not in tokens:
-            raise FormulaParseError(line_no, "missing '->'")
-        split = tokens.index(_ARROW)
-        antecedent = tokens[:split]
-        consequent = tokens[split + 1 :]
+        sides = line.split(_ARROW)
+        if len(sides) != 2:
+            problem = "missing" if len(sides) == 1 else "more than one"
+            raise FormulaParseError(line_no, f"{problem} '->'")
+        antecedent, consequent = (side.split() for side in sides)
         if not consequent:
             raise FormulaParseError(line_no, "empty consequent")
         for tok in antecedent + consequent:

@@ -18,11 +18,12 @@ cq_from_smq_seq        one full learner run, then none
 The adapter classes wrap a teacher and expose the simulated protocol with
 the same method shape, so learners run against them unchanged; each records
 the inner queries spent per simulated call in an :class:`AdapterStats`,
-also for a call that raises.
+also for a call that raises.  Calls of one operation with equal spends
+share one read-only log entry, so the log grows by one list slot per call.
 :class:`ClosureFromEntailment` asks the EMQs of each distinct closure query
-only once: it answers a repeat from a bounded per-adapter memo and logs an
-empty spend for it without reading any counter, within the table's "at most
-n EMQs".
+only once: it answers a repeat from a bounded per-adapter memo and logs it
+as the shared entry of an empty spend without reading any counter, within
+the table's "at most n EMQs".
 A simulation checks the inner teacher's promises that need no further
 inner query (a closure lies above its query, a counterexample fits the
 arity and separates) and raises :class:`ProtocolError` when one breaks.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from operator import attrgetter, sub
 
 from . import core
 from .core import (
@@ -185,7 +186,9 @@ class AdapterStats:
 
     A spend maps each query kind whose counter moved to how far it moved; a
     memo hit spends nothing and logs ``{}``.  A call that raises is logged
-    with what it spent before raising.
+    with what it spent before raising.  An adapter logs one shared
+    ``(op, spent)`` tuple for all its calls of ``op`` with equal spends, so
+    entries, and the dicts in them, are read-only: copy one to change it.
     """
 
     calls: list[tuple[str, dict[str, int]]] = field(default_factory=list)
@@ -194,9 +197,11 @@ class AdapterStats:
         return [spent for name, spent in self.calls if name == op]
 
 
-# The query kinds in QueryStats field order, and one read of all counters.
+# The query kinds in QueryStats field order, one read of all counters, and
+# the log key of a closure query that moved none.
 _KINDS = tuple(f.name for f in fields(QueryStats))
 _snapshot = attrgetter(*_KINDS)
+_CQ_NOTHING = ("cq",) + (0,) * len(_KINDS)
 
 
 class _Adapter:
@@ -204,10 +209,20 @@ class _Adapter:
         self.inner = inner
         self.arity = inner.arity
         self.adapter_stats = AdapterStats()
+        # (op, *counter deltas) -> the one log entry of every such call; the
+        # per-call budgets keep the distinct deltas few
+        self._entries: dict[tuple, tuple[str, dict[str, int]]] = {}
 
     @property
     def stats(self):
         return self.inner.stats
+
+    def _log(self, key) -> None:
+        entry = self._entries.get(key)
+        if entry is None:
+            spent = {kind: d for kind, d in zip(_KINDS, key[1:]) if d}
+            entry = self._entries[key] = (key[0], spent)
+        self.adapter_stats.calls.append(entry)
 
     def _run(self, op, fn, query):
         stats = self.inner.stats
@@ -215,12 +230,7 @@ class _Adapter:
         try:
             return fn(self.inner, query)
         finally:
-            after = _snapshot(stats)
-            spent = {}
-            for kind, b, a in zip(_KINDS, before, after):
-                if a != b:
-                    spent[kind] = a - b
-            self.adapter_stats.calls.append((op, spent))
+            self._log((op, *map(sub, _snapshot(stats), before)))
 
 
 def _seq(inner, hypothesis: HornFormula) -> Assignment | None:
@@ -233,7 +243,8 @@ class ClosureFromEntailment(_Adapter):
 
     A closure depends only on the target, so the adapter asks the
     memberships of each distinct closure query once and answers a repeat
-    from a per-instance memo, logging an empty spend without reading the
+    from a per-instance memo, logging the adapter's shared ``("cq", {})``
+    entry, the one a call that spends nothing also logs, without reading the
     inner counters.  The memo is cleared at ``core.CLOSURE_MEMO_LIMIT``
     entries, as in :meth:`HornFormula.close`.
     """
@@ -247,7 +258,7 @@ class ClosureFromEntailment(_Adapter):
         memo = self._closures
         out = memo.get(y.mask)
         if out is not None:
-            self.adapter_stats.calls.append(("cq", {}))
+            self._log(_CQ_NOTHING)
             return out
         if len(memo) >= core.CLOSURE_MEMO_LIMIT:
             memo.clear()

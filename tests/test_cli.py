@@ -81,6 +81,20 @@ class TestFormat:
         with pytest.raises(FormulaParseError, match="line 2: missing"):
             parse_formula("vars: a b\na b\n")
 
+    @pytest.mark.parametrize(
+        "line, spaced",
+        [("a->b", "a -> b"), ("a ->b", "a -> b"), ("a-> b", "a -> b"),
+         ("->b a", "-> b a"), ("b a->a  # c->d", "b a -> a")],
+    )
+    def test_arrow_without_spaces(self, line, spaced):
+        got = parse_formula(f"vars: a b\n{line}\n")
+        assert got == parse_formula(f"vars: a b\n{spaced}\n")
+
+    @pytest.mark.parametrize("line", ["a -> b -> a", "a->b->a", "a -> -> b"])
+    def test_second_arrow(self, line):
+        with pytest.raises(FormulaParseError, match="^line 2: more than one '->'$"):
+            parse_formula(f"vars: a b\n{line}\n")
+
     def test_duplicate_header_token(self):
         with pytest.raises(FormulaParseError, match="duplicate"):
             parse_formula("vars: a a\n")
@@ -88,6 +102,10 @@ class TestFormat:
     def test_invalid_header_token(self):
         with pytest.raises(FormulaParseError, match="line 1: invalid token 'b-c'"):
             parse_formula("vars: a b-c\n")
+
+    def test_arrow_in_the_header_is_not_split(self):
+        with pytest.raises(FormulaParseError, match="line 1: invalid token 'a->b'"):
+            parse_formula("vars: a->b\n")
 
     def test_serialize_shape(self, bullet_example):
         assert format_formula(bullet_example) == BULLET_TEXT

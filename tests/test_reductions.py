@@ -1,5 +1,9 @@
+import gc
 import hashlib
+import pickle
 import random
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -227,6 +231,19 @@ class TestCqFromStandard:
         assert teacher.stats == QueryStats()
         assert teacher not in _LEARNED
 
+    def test_cache_lets_its_teacher_go(self, gd_example):
+        # a long-lived process must not keep every teacher it learned alive
+        gc.collect()
+        cached = len(_LEARNED)
+        teacher = Teacher(gd_example)
+        cq_from_smq_seq(teacher, Assignment.zero(5))
+        assert teacher in _LEARNED and len(_LEARNED) == cached + 1
+        gone = weakref.ref(teacher)
+        del teacher
+        gc.collect()
+        assert gone() is None
+        assert len(_LEARNED) == cached
+
     def test_exhaustive_agreement(self):
         rng = random.Random(83)
         for _ in range(15):
@@ -246,6 +263,33 @@ def assert_log_adds_up(adapter, stats):
         for kind, count in spent.items():
             setattr(total, kind, getattr(total, kind) + count)
     assert total == stats
+
+
+class CheckedAdapter:
+    """An adapter's surface that checks each call's log entry against a
+    spend built afresh from the inner counters, as the log once built it."""
+
+    def __init__(self, adapter) -> None:
+        self.adapter = adapter
+        self.arity = adapter.arity
+        self.stats = adapter.stats
+        self.checked = 0
+
+    def __getattr__(self, op):
+        method = getattr(self.adapter, op)
+
+        def call(query):
+            before = self.stats.as_dict()
+            try:
+                return method(query)
+            finally:
+                after = self.stats.as_dict()
+                fresh = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+                entry = self.adapter.adapter_stats.calls[-1]
+                assert entry == (op, fresh) and list(entry[1]) == list(fresh)
+                self.checked += 1
+
+        return call
 
 
 class RecordingClosureFromEntailment(ClosureFromEntailment):
@@ -324,9 +368,11 @@ class TestAdapters:
     def test_entailment_from_closure_budgets(self, gd_example):
         inner = Teacher(gd_example)
         adapter = EntailmentFromClosure(inner)
-        adapter.emq(EntailmentClause(vs("ad"), 4))
-        adapter.smq(Assignment.full(5))
-        adapter.eeq(HornFormula(5, []))
+        checked = CheckedAdapter(adapter)
+        checked.emq(EntailmentClause(vs("ad"), 4))
+        checked.smq(Assignment.full(5))
+        checked.eeq(HornFormula(5, []))
+        assert checked.checked == 3
         for op, spent in adapter.adapter_stats.calls:
             if op in ("emq", "smq"):
                 assert spent == {"cq": 1}
@@ -450,6 +496,70 @@ class TestAdapters:
         calls = repr(adapter.adapter_stats.calls).encode()
         assert hashlib.sha256(calls).hexdigest() == digest
         assert_log_adds_up(adapter, inner.stats)
+
+    def test_calls_with_equal_spends_share_one_entry(self, gd_example):
+        adapter = StandardFromClosure(Teacher(gd_example))
+        afp(adapter)
+        calls = adapter.adapter_stats.calls
+        assert len({id(e) for e in calls}) == len({repr(e) for e in calls}) < len(calls)
+        # a memo hit logs the very entry of a closure query that spent nothing
+        adapter = ClosureFromEntailment(Teacher(gd_example))
+        top = Assignment.full(5)
+        adapter.cq(top)
+        adapter.cq(top)
+        spent_nothing, memo_hit = adapter.adapter_stats.calls
+        assert spent_nothing == ("cq", {}) and memo_hit is spent_nothing
+        # entries are the adapter's own, not shared with another adapter
+        other = ClosureFromEntailment(Teacher(gd_example))
+        other.cq(top)
+        assert other.adapter_stats.calls[0] is not spent_nothing
+
+    @pytest.mark.parametrize(
+        "learner, adapter_class",
+        [
+            (clh, ClosureFromEntailment),
+            (afp, ClosureFromEntailment),
+            (afp, StandardFromClosure),
+            (clh, ClosureFromStandard),
+        ],
+    )
+    def test_every_entry_equals_a_fresh_spend(self, learner, adapter_class):
+        target = random_formula(GenConfig(12, 36, (1, 3), (1, 2), seed=5))
+        inner = Teacher(target, strategy="random", seed=7)
+        checked = CheckedAdapter(adapter_class(inner))
+        learner(checked)
+        assert checked.checked == len(checked.adapter.adapter_stats.calls) > 0
+
+    def test_log_survives_a_pickle_round_trip(self, gd_example):
+        adapter = ClosureFromEntailment(Teacher(gd_example, strategy="random", seed=7))
+        clh(adapter)
+        calls = adapter.adapter_stats.calls
+        back = pickle.loads(pickle.dumps(adapter.adapter_stats)).calls
+        assert back == calls and repr(back) == repr(calls)
+        assert len({id(e) for e in back}) == len({id(e) for e in calls})
+
+    def test_log_costs_a_list_slot_per_call(self, gd_example):
+        # after every distinct spend has been logged once, each further
+        # call adds only its list slot (8 B and the list's overallocation)
+        adapter = ClosureFromEntailment(Teacher(gd_example))
+        queries = [Assignment(mask, 5) for mask in range(1 << 5)]
+        for y in queries:
+            adapter.cq(y)
+            adapter.smq(y)
+        rounds = 100
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(rounds):
+                for y in queries:
+                    adapter.cq(y)  # a memo hit
+                    adapter.smq(y)  # EMQs through the inner teacher
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        logged = 2 * len(queries) * rounds
+        assert logged >= 5000
+        assert grown <= 16 * logged
 
     def test_adapters_expose_inner_counters(self, gd_example):
         inner = Teacher(gd_example)
