@@ -229,7 +229,9 @@ class Implication:
     Stored as two bit masks, `_a` and `_c`; `antecedent` and `consequent`
     are frozenset views built on each read (equal, not identical, from one
     read to the next).  Implications compare and hash by their masks, that
-    is, by their two sets.
+    is, by their two sets.  Build a changed implication with the
+    constructor: `dataclasses.replace` raises TypeError, since the fields
+    are the masks, which the constructor does not take.
     """
 
     _a: int
@@ -268,7 +270,9 @@ class Implication:
 @dataclass(frozen=True, init=False, slots=True)
 class EntailmentClause:
     """A definite clause `antecedent -> head` with a single head variable;
-    the antecedent is stored as a bit mask and read as a frozenset view."""
+    the antecedent is stored as a bit mask and read as a frozenset view.
+    Build a changed clause with the constructor: `dataclasses.replace`
+    raises TypeError, since the mask field is not a constructor argument."""
 
     _mask: int
     head: int
@@ -350,7 +354,14 @@ class HornFormula:
         names: Sequence[str] | None = None,
     ) -> None:
         implications = tuple(implications)
-        self._set(arity, [(i._a, i._c) for i in implications], names)
+        try:
+            pairs = [(i._a, i._c) for i in implications]
+        except AttributeError:
+            foreign = next(i for i in implications if not isinstance(i, Implication))
+            raise TypeError(
+                f"expected Implication, got {type(foreign).__name__}"
+            ) from None
+        self._set(arity, pairs, names)
         object.__setattr__(self, "implications", implications)
 
     @classmethod

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import ceil, log
 
-from .core import HornFormula, _mask_of
+from .core import HornFormula
 from .formats import parse_formula
 
 __all__ = ["GenConfig", "random_formula", "example_corpus"]
@@ -50,18 +51,61 @@ class GenConfig:
             )
 
 
+def _below(bits, n: int) -> int:
+    """A draw below n > 0 by `Random`'s rejection rule: redraw
+    ``bits(n.bit_length())`` until the result is below n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample_mask(bits, n: int, k: int) -> int:
+    """The mask of the k indices that ``Random.sample(range(n), k)`` picks,
+    drawn from the same bits by the same branch: a shrinking pool when an
+    n-length list is smaller than a k-length set, else redraws until the
+    index is below n and not yet picked."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    mask = 0
+    if n <= setsize:
+        pool = list(range(n))
+        for left in range(n, n - k, -1):
+            j = _below(bits, left)
+            mask |= 1 << pool[j]
+            pool[j] = pool[left - 1]
+    else:
+        width = n.bit_length()
+        for _ in range(k):
+            j = bits(width)
+            while j >= n or mask >> j & 1:
+                j = bits(width)
+            mask |= 1 << j
+    return mask
+
+
 def random_formula(config: GenConfig) -> HornFormula:
-    """Deterministic-per-seed random formula matching the configuration."""
-    rng = random.Random(config.seed)
+    """Deterministic-per-seed random formula matching the configuration.
+
+    For each implication in turn, the antecedent and then the consequent
+    take a size from ``randint`` over their range and pick that many
+    variables as ``sample(range(arity), size)`` does, all from one
+    ``random.Random(config.seed)``.  The draws read that generator's
+    ``getrandbits`` directly, so the formula is the one those calls give.
+    """
+    bits = random.Random(config.seed).getrandbits
+    n = config.arity
     alo, ahi = config.antecedent_sizes
     clo, chi = config.consequent_sizes
-    variables = range(config.arity)
+    awidth, cwidth = ahi - alo + 1, chi - clo + 1
     pairs = []
     for _ in range(config.count):
-        ant = rng.sample(variables, rng.randint(alo, ahi))
-        con = rng.sample(variables, rng.randint(clo, chi))
-        pairs.append((_mask_of(ant), _mask_of(con)))
-    return HornFormula._of(config.arity, pairs)
+        ant = _sample_mask(bits, n, alo + _below(bits, awidth))
+        con = _sample_mask(bits, n, clo + _below(bits, cwidth))
+        pairs.append((ant, con))
+    return HornFormula._of(n, pairs)
 
 
 # the text of corpus/<name>.horn, without its comments

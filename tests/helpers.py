@@ -5,15 +5,17 @@ code: satisfaction is evaluated straight from the implication definition,
 closures come from meets of enumerated models, so they can serve as
 independent ground truth.  `FreshScanTeacher` is a reference of another
 kind: a teacher whose equivalence answers chain from scratch on every
-query, for the slot records that `Teacher` carries across queries.
+query, for the slot records that `Teacher` carries across queries, and
+`reference_masks` is the random generator written with `Random.randint`
+and `Random.sample`, for the bit draws of `random_formula`.
 """
 
 from __future__ import annotations
 
 import random
 
-from hornlearn import Assignment, HornFormula, Implication, Teacher
-from hornlearn.core import _gaps
+from hornlearn import Assignment, GenConfig, HornFormula, Implication, Teacher
+from hornlearn.core import _gaps, _mask_of
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -33,6 +35,21 @@ def formula(arity: int, *imps: tuple[str, str]) -> HornFormula:
 
 def asg(bits: str) -> Assignment:
     return Assignment.from_string(bits)
+
+
+def reference_masks(config: GenConfig) -> tuple[tuple[int, int], ...]:
+    """The mask pairs of `random_formula(config)`, drawn by `randint` sizes
+    and `sample(range(arity), size)` picks from one `Random(config.seed)`."""
+    rng = random.Random(config.seed)
+    alo, ahi = config.antecedent_sizes
+    clo, chi = config.consequent_sizes
+    variables = range(config.arity)
+    pairs = []
+    for _ in range(config.count):
+        ant = rng.sample(variables, rng.randint(alo, ahi))
+        con = rng.sample(variables, rng.randint(clo, chi))
+        pairs.append((_mask_of(ant), _mask_of(con)))
+    return tuple(pairs)
 
 
 def lex_key(mask: int, n: int) -> int:

@@ -163,6 +163,14 @@ class TestFormulaConstruction:
             i.antecedent = frozenset()
         assert not hasattr(i, "__dict__")
 
+    def test_replace_is_refused_on_mask_fields(self):
+        # unlike Assignment's, these fields are private masks, which the
+        # constructors do not take: a changed value comes from the constructor
+        with pytest.raises(TypeError, match="unexpected keyword argument '_a'"):
+            dataclasses.replace(Implication([0], [1]))
+        with pytest.raises(TypeError, match="unexpected keyword argument '_mask'"):
+            dataclasses.replace(EntailmentClause([0], 1))
+
     def test_consequent_must_be_nonempty(self):
         with pytest.raises(ValueError, match="^implication consequent must be nonempty$"):
             Implication(frozenset({0}), frozenset())
@@ -196,6 +204,13 @@ class TestFormulaConstruction:
             HornFormula(-1, [])
         with pytest.raises(ValueError, match="3 names for arity 2"):
             HornFormula(2, [], names=("x", "y", "z"))
+
+    @pytest.mark.parametrize(
+        "element, name", [((1, 2), "tuple"), (EntailmentClause([0], 1), "EntailmentClause")]
+    )
+    def test_foreign_implication_is_a_type_error(self, element, name):
+        with pytest.raises(TypeError, match=f"^expected Implication, got {name}$"):
+            HornFormula(3, [imp("a", "b"), element])
 
     def test_empty_formula_is_constant_true(self):
         f = HornFormula(3, [])

@@ -1,12 +1,43 @@
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hornlearn import GenConfig, equivalent, gd_basis, random_formula
 from hornlearn.generate import example_corpus
 from hornlearn.oracles import family_member
 
-from helpers import brute_equivalent, vs
+from helpers import brute_equivalent, reference_masks, vs
+
+# Each configuration drawn to the same masks as the reference generator:
+# default sizes over small arities; whole-range sizes, whose larger picks
+# take `sample`'s pool branch with more than five picks; the bench shapes,
+# whose picks take its set branch.
+REFERENCE_GRID = (
+    [GenConfig(n, m) for n in range(30) for m in (0, 1, 5, 40) if n or not m]
+    + [GenConfig(n, 30, (0, n), (1, n), seed=n) for n in range(1, 80, 3)]
+    + [
+        GenConfig(100, 400, (1, 4), (1, 2), seed=1),
+        GenConfig(250, 2000, (1, 4), (1, 2), seed=1),
+    ]
+)
+
+
+@st.composite
+def configs(draw):
+    """Valid configurations up to arity 120, whose picks reach both of
+    `sample`'s branches, with and without more than five picks."""
+    n = draw(st.integers(1, 120))
+    alo = draw(st.integers(0, n))
+    clo = draw(st.integers(1, n))
+    return GenConfig(
+        n,
+        draw(st.integers(0, 12)),
+        (alo, draw(st.integers(alo, n))),
+        (clo, draw(st.integers(clo, n))),
+        seed=draw(st.integers(0, 2**64)),
+    )
 
 
 class TestRandomFormula:
@@ -24,6 +55,28 @@ class TestRandomFormula:
         the CRC-32 of their repr: generation must keep the seeded stream."""
         f = random_formula(GenConfig(100, 400, (1, 4), (1, 2), seed=1))
         assert zlib.crc32(repr(f._masks).encode()) == 4162308711
+
+    def test_pinned_in_the_pool_branch(self):
+        """Arity 20 with default sizes: every pick takes `sample`'s pool."""
+        f = random_formula(GenConfig(20, 200, seed=7))
+        assert zlib.crc32(repr(f._masks).encode()) == 2416549288
+
+    def test_pinned_with_more_than_five_picks(self):
+        """Arity 60, picks of 4 to 16: the set branch up to five picks and
+        the pool branch, with its larger size threshold, above."""
+        f = random_formula(GenConfig(60, 100, (4, 12), (6, 16), seed=11))
+        assert zlib.crc32(repr(f._masks).encode()) == 2187145067
+
+    @pytest.mark.parametrize(
+        "config", REFERENCE_GRID, ids=lambda c: f"n{c.arity}-m{c.count}-seed{c.seed}"
+    )
+    def test_matches_the_reference_generator(self, config):
+        assert random_formula(config)._masks == reference_masks(config)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(configs())
+    def test_matches_the_reference_on_any_configuration(self, config):
+        assert random_formula(config)._masks == reference_masks(config)
 
     def test_zero_count(self):
         assert random_formula(GenConfig(4, 0)).implications == ()
