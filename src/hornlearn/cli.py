@@ -4,7 +4,7 @@ Subcommands::
 
     gd FILE                      print the canonical basis of a formula file
     closure FILE [TOK ...]       closure of a variable set (tokens from the file header)
-    equiv FILE1 FILE2            semantic equivalence test
+    equiv FILE1 FILE2            semantic equivalence test, tokens matched by name
     learn --algo A --target FILE run a learner against a simulated teacher
     bench ...                    query-count benchmark over random targets, CSV out
     lowerbound --n K             membership-only closure determination demo
@@ -12,8 +12,8 @@ Subcommands::
 Exit codes: 0 success / equivalent, 1 semantic negative (inequivalent
 formulas, failed self-check), 2 usage or parse errors.
 An :class:`ArityError` is never a usage error, since the parser, the token
-lookup and the arity check of ``equiv`` reject such input first: it marks
-an internal fault and propagates with its traceback.
+lookup and the arity and token checks of ``equiv`` reject such input first:
+it marks an internal fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +25,14 @@ import sys
 import time
 
 from .basis import gd_basis
-from .core import ArityError, HornFormula, closure, equivalent, separating_assignment
+from .core import (
+    ArityError,
+    HornFormula,
+    Implication,
+    closure,
+    equivalent,
+    separating_assignment,
+)
 from .formats import format_formula, parse_formula
 from .generate import GenConfig, random_formula
 from .learners import afp, clh
@@ -70,13 +77,32 @@ def cmd_closure(args) -> int:
     return 0
 
 
+def _in_order(formula: HornFormula, names: tuple[str, ...]) -> HornFormula:
+    """The formula over the same tokens, numbered in the order of `names`."""
+    position = {tok: i for i, tok in enumerate(names)}
+    index = [position[tok] for tok in formula.names]
+    imps = [
+        Implication({index[v] for v in i.antecedent}, {index[v] for v in i.consequent})
+        for i in formula.implications
+    ]
+    return HornFormula(formula.arity, imps, names)
+
+
 def cmd_equiv(args) -> int:
     f = _load(args.file1)
     g = _load(args.file2)
     if f.arity != g.arity:
         print(f"error: {f.arity} variables vs {g.arity}", file=sys.stderr)
         return 2
-    witness = separating_assignment(f, g)
+    if set(f.names) != set(g.names):
+        only = [sorted(set(h.names) - set(o.names)) for h, o in ((f, g), (g, f))]
+        print(
+            f"error: tokens {' '.join(only[0])} only in {args.file1}, "
+            f"{' '.join(only[1])} only in {args.file2}",
+            file=sys.stderr,
+        )
+        return 2
+    witness = separating_assignment(f, _in_order(g, f.names))
     if witness is None:
         print("equivalent")
         return 0

@@ -7,7 +7,11 @@ independent ground truth.  `FreshScanTeacher` is a reference of another
 kind: a teacher whose equivalence answers chain from scratch on every
 query, for the slot records that `Teacher` carries across queries, and
 `reference_masks` is the random generator written with `Random.randint`
-and `Random.sample`, for the bit draws of `random_formula`.
+and `Random.sample`, for the bit draws of `random_formula`, and
+`reference_gd_basis` is the canonical basis built with a full transpose of
+every row, a fixpoint on one column per variable and a pairwise
+containment test for redundancy, for the unit classes and the column-based
+redundancy test of `gd_basis`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import random
 
 from hornlearn import Assignment, GenConfig, HornFormula, Implication, Teacher
-from hornlearn.core import _gaps, _mask_of
+from hornlearn.core import _bit_list, _gaps, _mask_of
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -201,3 +205,80 @@ class FreshScanTeacher(Teacher):
 
     def _counterexample(self, hyp):
         return fresh_gap(self.target, hyp, self.strategy, self._rng)
+
+
+def transpose(vectors: list[int], width: int) -> list[int]:
+    """The bit matrix whose rows are `vectors` (`width` bits each), read by
+    column: bit i of `out[j]` is bit j of `vectors[i]`."""
+    if not vectors:
+        return [0] * width
+    digits = "".join([format(v, f"0{width}b") for v in reversed(vectors)])
+    return [int(digits[i::width], 2) for i in range(width - 1, -1, -1)]
+
+
+def _rows_by(keys: list[int]) -> dict[int, list[int]]:
+    rows: dict[int, list[int]] = {}
+    for r, k in enumerate(keys):
+        rows.setdefault(k, []).append(r)
+    return rows
+
+
+def _saturate_rows(bits, col, groups) -> list[int]:
+    """Every row chained to its fixpoint under `groups` `(rows, consequent,
+    allowed)`, one column per variable, until a pass fires no group."""
+    walk = [([bits[r] for r in rows], _bit_list(c), ok) for rows, c, ok in groups]
+    fired = [0] * len(walk)
+    changed = True
+    while changed:
+        changed = False
+        for g, (ants, cons, allowed) in enumerate(walk):
+            hit = 0
+            for a in ants:
+                t = allowed
+                for v in a:
+                    t &= col[v]
+                hit |= t
+            new = hit ^ fired[g]
+            if new:
+                fired[g] = hit
+                for u in cons:
+                    col[u] |= new
+                changed = True
+    return transpose(col, len(bits))
+
+
+def drop_dominated(formula: HornFormula) -> HornFormula:
+    """`remove_redundant` of a right- and left-saturated formula: the last
+    copy of each antecedent that differs from its class and is minimal
+    among its class's antecedents, by a pairwise containment test."""
+    pairs = formula._masks
+    last = {a: i for i, (a, _) in enumerate(pairs)}
+    ants = list(last)
+    keep = []
+    for c, rows in _rows_by([pairs[i][1] for i in last.values()]).items():
+        minimal: list[int] = []
+        for a in sorted((ants[r] for r in rows), key=int.bit_count):
+            for b in minimal:
+                if b & a == b:
+                    break
+            else:
+                minimal.append(a)
+        keep += (last[a] for a in minimal if a != c)
+    out = [pairs[i] for i in sorted(keep)]
+    return HornFormula._of(formula.arity, out, formula.names)
+
+
+def reference_gd_basis(formula: HornFormula) -> HornFormula:
+    """The canonical basis: closures and then quasi-closures of every
+    antecedent on one column per variable, then `drop_dominated`."""
+    pairs = formula._masks
+    bits = [_bit_list(a) for a, _ in pairs]
+    col = transpose([a for a, _ in pairs], formula.arity)
+    full = (1 << len(pairs)) - 1
+    by_cons = _rows_by([c for _, c in pairs]).items()
+    closed = _saturate_rows(bits, col[:], [(rs, c, full) for c, rs in by_cons])
+    own = _rows_by(closed).items()
+    groups = [(rs, c, full & ~sum(1 << r for r in rs)) for c, rs in own]
+    quasi = _saturate_rows(bits, col, groups)
+    saturated = HornFormula._of(formula.arity, zip(quasi, closed), formula.names)
+    return drop_dominated(saturated)

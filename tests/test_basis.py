@@ -231,12 +231,22 @@ class TestIsSaturated:
         (100, 400, 1, 93, 0x4A48A0EE),
         (200, 800, 1, 206, 0xF2E51121),
         (200, 800, 2, 236, 0x707444B9),
+        (194, 1477, 1, 179, 0x074AF8FB),
+        (143, 986, 1, 135, 0x5B80D91A),
     ],
-    ids=["100-400-seed1", "200-800-seed1", "200-800-seed2"],
+    ids=[
+        "100-400-seed1",
+        "200-800-seed1",
+        "200-800-seed2",
+        "194-1477-seed1",
+        "143-986-seed1",
+    ],
 )
 def test_gd_basis_order_at_bench_scale(n, m, seed, size, crc):
     """The ordered output on the benchmark's formula shapes, pinned by the
-    CRC-32 of the repr of its mask pairs."""
+    CRC-32 of the repr of its mask pairs.  At m = 6n-8n most variables fall
+    in one unit class (they derive each other through one-variable
+    antecedents), which `gd_basis` saturates as one column."""
     basis = gd_basis(random_formula(GenConfig(n, m, (1, 4), (1, 2), seed=seed)))
     assert len(basis) == size
     assert zlib.crc32(repr(basis._masks).encode()) == crc

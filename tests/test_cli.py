@@ -185,6 +185,36 @@ class TestCommands:
         assert main(["equiv", str(p1), str(p2)]) == 2
         assert "2 variables vs 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "second, code",
+        [("vars: b a\na -> b\n", 0), ("vars: b a\nb -> a\n", 1)],
+        ids=["same-by-name", "swapped-by-name"],
+    )
+    def test_equiv_matches_variables_by_token(self, tmp_path, capsys, second, code):
+        # the header order differs, so the two files number a and b the
+        # other way round; only the tokens say which variable is which
+        p1 = tmp_path / "one.horn"
+        p2 = tmp_path / "two.horn"
+        p1.write_text("vars: a b\na -> b\n")
+        p2.write_text(second)
+        assert main(["equiv", str(p1), str(p2)]) == code
+        out = capsys.readouterr().out
+        if code:
+            # the witness a=1, b=0, in the first file's order and tokens
+            assert out == "not equivalent: 10 ({a})\n"
+        else:
+            assert out == "equivalent\n"
+
+    def test_equiv_on_different_tokens_is_a_usage_error(self, tmp_path, capsys):
+        p1 = tmp_path / "one.horn"
+        p2 = tmp_path / "two.horn"
+        p1.write_text("vars: a b\n")
+        p2.write_text("vars: b y\n")
+        assert main(["equiv", str(p1), str(p2)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tokens a only in {p1}, y only in {p2}\n"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.horn"
         bad.write_text("vars: a b\na -> z\n")

@@ -44,10 +44,11 @@ from hornlearn import (
 from hornlearn.basis import (
     _closures,
     _columns,
-    _drop_dominated,
-    _quasi_closures,
+    _quasi_columns,
+    _rows,
+    _rows_by,
     _saturate,
-    _transpose,
+    _unit_classes,
 )
 from hornlearn.core import _chain, _derive, _lex_key, _quasi
 
@@ -55,8 +56,11 @@ from helpers import (
     brute_closure_mask,
     brute_equivalent,
     brute_model_masks,
+    drop_dominated,
     lex_key,
     pending_list_derive,
+    reference_gd_basis,
+    transpose,
 )
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -150,6 +154,34 @@ def edge_formulas(draw):
         imps += draw(st.lists(st.sampled_from(imps), max_size=3))
     tautologies = draw(st.lists(st.frozensets(var, min_size=1), max_size=2))
     imps += [Implication(a, a) for a in tautologies]
+    return HornFormula(n, draw(st.permutations(imps)))
+
+
+@st.composite
+def unit_class_formulas(draw):
+    """Formulas of arity 0-12 with up to 8n implications, about half of
+    them on one-variable antecedents so that unit classes (variables that
+    derive each other through such implications) form.  Some add a cycle
+    through every variable (one class of all of them) or an empty antecedent
+    that gives every variable (every closure full); duplicates and empty
+    antecedents mixed in, in a drawn order."""
+    n = draw(st.integers(0, 12))
+    if not n:
+        return HornFormula(0, [])
+    var = st.integers(0, n - 1)
+    antecedent = st.one_of(
+        st.frozensets(var, min_size=1, max_size=1), st.frozensets(var, max_size=3)
+    )
+    consequent = st.frozensets(var, min_size=1, max_size=2)
+    implication = st.builds(Implication, antecedent, consequent)
+    imps = draw(st.lists(implication, max_size=8 * n))
+    extra = draw(st.sampled_from(["none", "cycle", "full"]))
+    if extra == "cycle":
+        imps += [Implication({i}, {(i + 1) % n}) for i in range(n)]
+    elif extra == "full":
+        imps.append(Implication(set(), set(range(n))))
+    if imps:
+        imps += draw(st.lists(st.sampled_from(imps), max_size=3))
     return HornFormula(n, draw(st.permutations(imps)))
 
 
@@ -382,8 +414,9 @@ class TestBatchSaturation:
         ants = [a for a, _ in pairs]
         full = (1 << len(pairs)) - 1
         closures = [_chain(a, pairs) for a in ants]
-        groups = [([r], c, full) for r, (_, c) in enumerate(pairs)]
-        assert _saturate(*_columns(ants, f.arity), groups) == closures
+        bits, col = _columns(ants, f.arity)
+        _saturate(col, [([bits[r]], c, full) for r, (_, c) in enumerate(pairs)])
+        assert _rows(col, len(ants), range(len(ants))) == closures
         assert right_saturate(f)._masks == tuple(zip(ants, closures))
 
     @PROPERTY
@@ -396,8 +429,9 @@ class TestBatchSaturation:
         full = (1 << len(ants)) - 1
         own = {c: sum(1 << i for i, d in enumerate(classes) if d == c) for c in classes}
         quasi = [_quasi(a, right) for a in ants]
-        groups = [([r], c, full & ~own[c]) for r, c in enumerate(classes)]
-        assert _saturate(*_columns(ants, f.arity), groups) == quasi
+        bits, col = _columns(ants, f.arity)
+        _saturate(col, [([bits[r]], c, full & ~own[c]) for r, c in enumerate(classes)])
+        assert _rows(col, len(ants), range(len(ants))) == quasi
         assert left_saturate(right)._masks == tuple(zip(quasi, classes))
 
     @PROPERTY
@@ -405,12 +439,13 @@ class TestBatchSaturation:
     @_with_grouped_examples
     def test_grouped_rows_are_the_closures(self, f):
         pairs = f._masks
-        ants, cons = [a for a, _ in pairs], [c for _, c in pairs]
+        ants = [a for a, _ in pairs]
         bits, col = _columns(ants, f.arity)
+        before = col[:]
         closures = [_chain(a, pairs) for a in ants]
-        assert _closures(bits, col, cons) == closures
-        # the fixpoint runs in place: the columns end as the closures'
-        assert col == _transpose(closures, f.arity)
+        assert _closures(pairs, bits, col) == (closures, transpose(closures, f.arity))
+        # the fixpoint runs on its own columns: gd_basis left-saturates these
+        assert col == before
 
     @PROPERTY
     @given(st.one_of(noisy_formulas(), edge_formulas()))
@@ -418,13 +453,16 @@ class TestBatchSaturation:
     def test_grouped_rows_are_the_quasi_closures(self, f):
         right = right_saturate(f)
         ants, classes = [a for a, _ in right._masks], [c for _, c in right._masks]
-        quasi = _quasi_closures(*_columns(ants, f.arity), classes)
-        assert quasi == [_quasi(a, right) for a in ants]
+        bits, col = _columns(ants, f.arity)
+        _quasi_columns(bits, col, _rows_by(classes))
+        quasi = [_quasi(a, right) for a in ants]
+        assert col == transpose(quasi, f.arity)
         # both stages on one column build, as gd_basis runs them
         bits, col = _columns([a for a, _ in f._masks], f.arity)
-        closed = _closures(bits, col[:], [c for _, c in f._masks])
+        closed = _closures(f._masks, bits, col)[0]
         assert closed == classes
-        assert _quasi_closures(bits, col, closed) == quasi
+        _quasi_columns(bits, col, _rows_by(closed))
+        assert col == transpose(quasi, f.arity)
 
     @PROPERTY
     @given(st.one_of(noisy_formulas(), edge_formulas()))
@@ -435,19 +473,21 @@ class TestBatchSaturation:
         pairs += rng.choices(pairs, k=min(len(pairs), 3))  # more duplicates
         rng.shuffle(pairs)
         saturated = left_saturate(right_saturate(HornFormula._of(f.arity, pairs)))
-        assert _drop_dominated(saturated)._masks == remove_redundant(saturated)._masks
+        assert drop_dominated(saturated)._masks == remove_redundant(saturated)._masks
 
     def test_transpose_is_the_bit_matrix_transpose(self):
         rng = random.Random(11)
         for width in EDGE_ARITIES:
             for count in (0, 1, 7, 8, 9, 64, 65):
                 vectors = [rng.getrandbits(width) for _ in range(count)]
-                cols = _transpose(vectors, width)
+                cols = transpose(vectors, width)
                 assert cols == [
                     sum((v >> j & 1) << i for i, v in enumerate(vectors))
                     for j in range(width)
                 ]
-                assert _transpose(cols, count) == vectors
+                assert _rows(cols, count, range(count)) == vectors
+                which = rng.sample(range(count), count // 2)
+                assert _rows(cols, count, which) == [vectors[r] for r in which]
 
     def test_columns_are_the_bit_matrix_transpose(self):
         rng = random.Random(12)
@@ -460,7 +500,65 @@ class TestBatchSaturation:
                     sum((v >> j & 1) << i for i, v in enumerate(vectors))
                     for j in range(width)
                 ]
-                assert cols == _transpose(vectors, width)
+                assert cols == transpose(vectors, width)
+
+
+@st.composite
+def successor_masks(draw):
+    """A graph on 0-12 vertices as one successor mask per vertex."""
+    n = draw(st.integers(0, 12))
+    return draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+
+
+def _brute_unit_classes(succ: list[int]) -> list[int]:
+    """The lowest vertex that each vertex reaches and is reached from."""
+    n = len(succ)
+    reach = []
+    for v in range(n):
+        seen, frontier = 1 << v, 1 << v
+        while frontier:
+            nxt = 0
+            for u in range(n):
+                if frontier >> u & 1:
+                    nxt |= succ[u]
+            frontier = nxt & ~seen
+            seen |= nxt
+        reach.append(seen)
+    return [
+        min(u for u in range(n) if reach[v] >> u & 1 and reach[u] >> v & 1)
+        for v in range(n)
+    ]
+
+
+class TestUnitClasses:
+    """`gd_basis` saturates one column per unit class and reads redundancy
+    off the quasi-closure columns; `reference_gd_basis` does neither."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.one_of(unit_class_formulas(), noisy_formulas(), edge_formulas()))
+    @_with_grouped_examples
+    def test_gd_basis_is_the_reference_in_order(self, f):
+        assert gd_basis(f)._masks == reference_gd_basis(f)._masks
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.one_of(unit_class_formulas(), edge_formulas()))
+    @_with_examples
+    def test_right_saturate_gives_the_closures(self, f):
+        right = right_saturate(f)
+        assert [a for a, _ in right._masks] == [a for a, _ in f._masks]
+        assert [c for _, c in right._masks] == [f.close(a) for a, _ in f._masks]
+
+    @PROPERTY
+    @given(successor_masks())
+    def test_unit_classes_are_the_strongly_connected_components(self, succ):
+        assert _unit_classes(succ) == _brute_unit_classes(succ)
+
+    def test_long_paths_need_no_recursion(self):
+        n = 2500
+        cycle = [1 << (v + 1) % n for v in range(n)]
+        assert _unit_classes(cycle) == [0] * n
+        path = [1 << v + 1 for v in range(n - 1)] + [0]
+        assert _unit_classes(path) == list(range(n))
 
 
 def _teacher(f: HornFormula, strategy: str, seed: int) -> Teacher:
