@@ -36,7 +36,7 @@ from .core import (
 from .formats import format_formula, parse_formula
 from .generate import GenConfig, random_formula
 from .learners import afp, clh
-from .oracles import MINIMAL_STRATEGY_MAX_ARITY, STRATEGIES, QueryStats, Teacher
+from .oracles import STRATEGIES, QueryStats, Teacher
 from .reductions import ClosureFromEntailment, StandardFromClosure, lower_bound_demo
 
 # algorithm name -> learner run against a plain Teacher
@@ -163,15 +163,6 @@ def cmd_bench(args) -> int:
         print(
             f"error: argument --n-range: LO 0 admits no implication, "
             f"but --m-range reaches {m_hi}",
-            file=sys.stderr,
-        )
-        return 2
-    eeq_minimal = args.strategy == "minimal" and "clh-entail" in args.algos
-    if eeq_minimal and n_hi > MINIMAL_STRATEGY_MAX_ARITY:
-        print(
-            f"error: argument --n-range: HI {n_hi} is above "
-            f"oracles.MINIMAL_STRATEGY_MAX_ARITY ({MINIMAL_STRATEGY_MAX_ARITY}), "
-            "the largest arity --strategy minimal supports for clh-entail",
             file=sys.stderr,
         )
         return 2

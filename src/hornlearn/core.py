@@ -68,6 +68,8 @@ def _mask_of(variables: Iterable[int]) -> int:
 
 def _check_fits(mask: int, arity: int) -> None:
     if mask >> arity:
+        if mask < 0:
+            raise ArityError(f"negative mask {mask:#x} for arity {arity}")
         raise ArityError(
             f"variable index {mask.bit_length() - 1} out of range for arity {arity}"
         )
@@ -383,7 +385,9 @@ class HornFormula:
         used = 0
         for a, c in masks:
             used |= a | c
-        _check_fits(used, arity)
+        if used >> arity:  # name the first mask that does not fit
+            for mask in chain.from_iterable(masks):
+                _check_fits(mask, arity)
         if names is not None:
             names = tuple(names)
             if len(names) != arity:

@@ -14,7 +14,9 @@ Query kinds, named by their classic protocol ids:
 A :class:`Teacher` wraps an immutable target formula with per-protocol
 answer logic, query counters and a counterexample-selection strategy.
 Equivalence-style answers prefer negative counterexamples (ones satisfying
-the hypothesis).  Only that negative side reads the target's own
+the hypothesis), and `seq` and `eeq` pick the same one under every
+strategy: "minimal" takes the bitwise-minimal assignment, which `eeq`
+states as a clause.  Only that negative side reads the target's own
 implications, through one record per implication that is carried across
 queries and kept exact by bit-mask bookkeeping: a query re-derives only the
 records its hypothesis change may have broken (incremental forward
@@ -27,7 +29,6 @@ goes through the target's canonical basis instead (see
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -56,9 +57,6 @@ __all__ = [
 
 STRATEGIES = ("first", "random", "minimal")
 
-# the "minimal" eeq enumerates candidate antecedents; keep it to small arities
-MINIMAL_STRATEGY_MAX_ARITY = 12
-
 
 @dataclass
 class QueryStats:
@@ -85,20 +83,22 @@ class QueryStats:
 class Teacher:
     """Answers queries about a fixed target definite Horn formula.
 
-    `strategy` picks among valid counterexamples: "first" scans implications
-    in list order, "random" draws uniformly from the candidates (a seed is
-    required), "minimal" returns a bitwise-minimal counterexample; under
-    "minimal", `eeq` enumerates antecedents and refuses arities above
-    MINIMAL_STRATEGY_MAX_ARITY.
+    `strategy` picks among valid counterexamples, one rule for `seq` and
+    `eeq` (`_counterexample`): "first" scans implications in list order,
+    "random" draws uniformly from the candidates (a seed is required),
+    "minimal" takes the gap whose assignment `w` is bitwise-minimal.  `seq`
+    answers with `w`, `eeq` with the clause from the gap implication's
+    antecedent to the lowest consequent variable outside `w` (under
+    "random", a uniformly drawn one).
 
     Every answer that is a closure read - membership (x is a model iff its
-    closure is x), closure, entailment, the hypothesis side of an
-    equivalence answer and the "minimal" clause search - closes through
-    `_basis`, the target's GD basis, built once here.  Closures depend only
-    on the represented function, and the basis is the smallest formula for
-    it, with closed consequents, so it chains faster than the target; the
-    answers are the same.  The teacher holds that basis (at most m pairs)
-    and its one bounded closure memo; the target's own memo stays empty.
+    closure is x), closure, entailment and the hypothesis side of an
+    equivalence answer - closes through `_basis`, the target's GD basis,
+    built once here.  Closures depend only on the represented function,
+    and the basis is the smallest formula for it, with closed consequents,
+    so it chains faster than the target; the answers are the same.  The
+    teacher holds that basis (at most m pairs) and its one bounded closure
+    memo; the target's own memo stays empty.
     The build is a fixed cost per teacher: about 0.07-0.15 ms on a tiny
     target (n below 10), about 3-7 ms at n=100, m=400 (Python 3.11).
 
@@ -176,14 +176,7 @@ class Teacher:
 
     def eeq(self, hypothesis: HornFormula) -> EntailmentClause | None:
         _check_same_arity(self.target, hypothesis)
-        minimal = self.strategy == "minimal"
-        if minimal and self.arity > MINIMAL_STRATEGY_MAX_ARITY:
-            raise ValueError(
-                f"minimal eeq supports arity <= {MINIMAL_STRATEGY_MAX_ARITY}"
-            )
         self.stats.eeq += 1
-        if minimal:
-            return self._minimal_clause(hypothesis)
         found = self._counterexample(hypothesis)
         if found is None:
             return None
@@ -291,17 +284,6 @@ class Teacher:
             for _ in range(self._rng.choice(range(gaps.bit_count()))):
                 gaps &= gaps - 1
         return _low_bit(gaps)
-
-    def _minimal_clause(self, hyp: HornFormula) -> EntailmentClause | None:
-        # ascending antecedents (by size, then position), smallest head wins
-        n = self.target.arity
-        for size in range(n + 1):
-            for combo in itertools.combinations(range(n), size):
-                mask = sum(1 << v for v in combo)
-                gap = self._basis.close(mask) ^ hyp.close(mask)
-                if gap:
-                    return EntailmentClause._of(mask, _low_bit(gap))
-        return None
 
 
 class AdversarialSmqTeacher:

@@ -48,7 +48,6 @@ from helpers import augment, model_table, superset_meets, vs
 CORPUS_SEED = 20260810
 CORPUS_SIZE = 500
 BRUTE_ARITY_LIMIT = 12
-MINIMAL_ARITY_LIMIT = 12
 
 
 def _report(number: int, ok: bool, label: str) -> None:
@@ -67,8 +66,8 @@ class Run:
 
 @pytest.fixture(scope="module")
 def corpus_runs():
-    """The criterion-3 corpus: 500 seeded targets, learned under every
-    applicable strategy ("minimal" is defined only up to arity 12)."""
+    """The criterion-3 corpus: 500 seeded targets, each learned under every
+    strategy."""
     rng = random.Random(CORPUS_SEED)
     runs = []
     targets = []
@@ -79,9 +78,7 @@ def corpus_runs():
         target = random_formula(GenConfig(n, count, seed=rng.randrange(2**32)))
         basis = gd_basis(target)
         targets.append((target, basis))
-        jobs = [("first", None), ("random", rng.randrange(2**32))]
-        if n <= MINIMAL_ARITY_LIMIT:
-            jobs.append(("minimal", None))
+        jobs = [("first", None), ("random", rng.randrange(2**32)), ("minimal", None)]
         for strategy, seed in jobs:
             teacher = Teacher(target, strategy=strategy, seed=seed)
             report = clh(teacher)

@@ -424,25 +424,20 @@ class TestBench:
 
     @pytest.mark.parametrize("seed", range(1, 7))
     @pytest.mark.parametrize("n_range", ["10:14", "13"])
-    def test_rejects_minimal_above_its_arity(
-        self, tmp_path, capsys, monkeypatch, seed, n_range
-    ):
-        # clh-entail asks the minimal eeq, which enumerates antecedents: it
-        # is rejected for every seed, whether or not a drawn n exceeds the
-        # limit, and before any target is generated
-        def no_generation(config):
-            raise AssertionError("a target was generated")
-
-        monkeypatch.setattr("hornlearn.cli.random_formula", no_generation)
-        out = tmp_path / "bad.csv"
+    def test_minimal_clh_entail_at_any_arity(self, tmp_path, seed, n_range):
+        # under "minimal", eeq names the counterexample seq does, so each
+        # clh-entail run asks one EEQ per SEQ of the clh run on its target
+        out = tmp_path / "minimal.csv"
         argv = ["bench", "--algos", "clh", "clh-entail", "--n-range", n_range,
                 "--m-range", "2:4", "--trials", "2", "--seed", str(seed), "--strategy", "minimal",
                 "--out", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "argument --n-range: HI " in err
-        assert "oracles.MINIMAL_STRATEGY_MAX_ARITY (12)" in err
-        assert not out.exists()
+        assert main(argv) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2 * 2
+        for plain, simulated in zip(rows[:2], rows[2:]):
+            assert (plain[0], simulated[0]) == ("clh", "clh-entail")
+            assert plain[1:4] == simulated[1:4]  # n, m, seed
+            assert simulated[8] == plain[4]  # eeq == seq
 
     def test_minimal_above_its_arity_without_eeq(self, tmp_path):
         out = tmp_path / "minimal.csv"

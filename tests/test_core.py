@@ -313,6 +313,18 @@ class TestClosureMemo:
             assert clone == f and clone.names == f.names
             assert clone.close(0b0101) == f.close(0b0101)
 
+    @pytest.mark.parametrize(
+        "pair, mask", [((-1, 0b010), "-0x1"), ((0b001, -8), "-0x8")]
+    )
+    def test_unpickling_a_negative_mask_names_it(self, pair, mask):
+        class Crafted:
+            def __reduce__(self):
+                return HornFormula._of, (3, ((0b001, 0b010), pair), None)
+
+        data = pickle.dumps(Crafted())
+        with pytest.raises(ArityError, match=f"^negative mask {mask} for arity 3$"):
+            pickle.loads(data)
+
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(core, "CLOSURE_MEMO_LIMIT", 8)
         f = random_formula(GenConfig(6, 10, seed=3))

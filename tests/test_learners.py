@@ -345,7 +345,7 @@ GOLDEN_RUNS = {
     ("afp-closure", "random", 7): ({"seq": 25, "cq": 79}, 13, 0xAA3CA09A),
     ("clh", "minimal", None): ({"seq": 14, "cq": 83}, 13, 0xAD79EBFA),
     ("afp", "minimal", None): ({"smq": 70, "seq": 23}, 13, 0x743EAAC5),
-    ("clh-entail", "minimal", None): ({"emq": 341, "eeq": 20}, 13, 0xE5B97F2B),
+    ("clh-entail", "minimal", None): ({"emq": 248, "eeq": 14}, 13, 0xAD79EBFA),
     ("afp-closure", "minimal", None): ({"seq": 23, "cq": 70}, 13, 0x743EAAC5),
 }
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -24,7 +23,6 @@ from hornlearn import (
 
 from hornlearn import core, oracles
 from hornlearn.generate import GenConfig, random_formula
-from hornlearn.oracles import MINIMAL_STRATEGY_MAX_ARITY
 
 from helpers import (
     FreshScanTeacher,
@@ -65,17 +63,6 @@ class TestConstruction:
     def test_random_needs_seed(self, gd_example):
         with pytest.raises(ValueError):
             Teacher(gd_example, strategy="random")
-
-    def test_minimal_arity_gate(self):
-        # only the clause search of eeq enumerates antecedents; it refuses
-        # above the limit before the counter moves, and seq answers
-        big = Teacher(HornFormula(13, []), strategy="minimal")
-        with pytest.raises(ValueError, match="arity <= 12"):
-            big.eeq(HornFormula(13, []))
-        assert big.stats.eeq == 0
-        assert big.seq(HornFormula(13, [])) is None
-        small = Teacher(HornFormula(12, []), strategy="minimal")
-        assert small.eeq(HornFormula(12, [])) is None
 
     @pytest.mark.parametrize("learner", [clh, afp])
     def test_minimal_above_the_eeq_limit_learns(self, learner):
@@ -298,24 +285,17 @@ class TestEeq:
             else:
                 assert entails(target, clause) != entails(hypothesis, clause)
 
-    def test_minimal_clause_matches_enumeration(self):
+    @pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
+    def test_negative_clause_whenever_the_hypothesis_misses_one(self, strategy):
+        # the target entails a clause the hypothesis does not iff the
+        # hypothesis misses a target implication; eeq then answers with one
         rng = random.Random(66)
-        for _ in range(80):
-            target, hypothesis = random_pair(rng, n_max=6)
-            got = Teacher(target, strategy="minimal").eeq(hypothesis)
-            want = self._brute_minimal_clause(target, hypothesis)
-            assert got == want
-
-    @staticmethod
-    def _brute_minimal_clause(target, hypothesis):
-        n = target.arity
-        for size in range(n + 1):
-            for combo in itertools.combinations(range(n), size):
-                for head in range(n):
-                    clause = EntailmentClause(frozenset(combo), head)
-                    if entails(target, clause) != entails(hypothesis, clause):
-                        return clause
-        return None
+        for _ in range(200):
+            target, hypothesis = random_pair(rng, n_max=10)
+            seed = rng.randrange(2**32) if strategy == "random" else None
+            clause = Teacher(target, strategy=strategy, seed=seed).eeq(hypothesis)
+            if any(c & ~hypothesis.close(a) for a, c in target._masks):
+                assert entails(target, clause) and not entails(hypothesis, clause)
 
 
 def _mask_pair(rng, n, heads=None):
@@ -391,16 +371,13 @@ class TestLongLivedTeacher:
                 want = None if found is None else Assignment(found[1], n)
                 assert teacher.seq(h) == want
 
-                if strategy == "minimal":
-                    want = TestEeq._brute_minimal_clause(target, h)
-                else:
-                    found = self._fresh_gap(target, h, strategy, replay)
-                    want = None
-                    if found is not None:
-                        a, _, gap = found
-                        heads = [v for v in range(n) if gap >> v & 1]
-                        head = replay.choice(heads) if strategy == "random" else heads[0]
-                        want = EntailmentClause._of(a, head)
+                found = self._fresh_gap(target, h, strategy, replay)
+                want = None
+                if found is not None:
+                    a, _, gap = found
+                    heads = [v for v in range(n) if gap >> v & 1]
+                    head = replay.choice(heads) if strategy == "random" else heads[0]
+                    want = EntailmentClause._of(a, head)
                 assert teacher.eeq(h) == want
 
             _assert_bounded_records(teacher, h)
@@ -411,9 +388,8 @@ class TestLongLivedTeacher:
         # across every change.  Arities up to 20 make chains several passes
         # deep.
         rng = random.Random(68)
-        top = MINIMAL_STRATEGY_MAX_ARITY if strategy == "minimal" else 20
         for _ in range(10):
-            n = rng.randint(top // 2, top)
+            n = rng.randint(10, 20)
             target = random_formula(GenConfig(n, 2 * n, seed=rng.randrange(2**32)))
             seed = 19 if strategy == "random" else None
             teacher = Teacher(target, strategy=strategy, seed=seed)
@@ -444,9 +420,7 @@ class TestLongLivedTeacher:
         )
         target = random_formula(GenConfig(12, 48, (1, 4), (1, 2), seed=3))
         empty = HornFormula(target.arity, [])
-        # the "minimal" eeq enumerates antecedents and reads no record
-        queries = ["seq"] if strategy == "minimal" else ["seq", "eeq"]
-        for query in queries:
+        for query in ["seq", "eeq"]:
             teacher = Teacher(target, strategy=strategy, seed=seed)
             plain = FreshScanTeacher(target, strategy=strategy, seed=seed)
             got = getattr(teacher, query)(empty)
@@ -466,9 +440,8 @@ class TestLongLivedTeacher:
             ]
             return report.output._masks, report.stats, trace
 
-        n = MINIMAL_STRATEGY_MAX_ARITY if strategy == "minimal" else 60
         for formula_seed in (1, 2):
-            config = GenConfig(n, 4 * n, (1, 4), (1, 2), seed=formula_seed)
+            config = GenConfig(60, 240, (1, 4), (1, 2), seed=formula_seed)
             target = random_formula(config)
             plain = FreshScanTeacher(target, strategy=strategy, seed=seed)
             got = digest(learner(Teacher(target, strategy=strategy, seed=seed)))

@@ -413,6 +413,22 @@ class TestAdapters:
                     n - bin(mask).count("1") for mask in distinct
                 )
 
+    @pytest.mark.parametrize("strategy", ["first", "minimal"])
+    def test_closure_from_entailment_hands_clh_the_plain_counterexamples(
+        self, strategy
+    ):
+        # eeq picks the gap seq picks, so every simulated seq costs one EEQ
+        # and returns the counterexample clh gets from the plain teacher
+        for n in (3, 8, 13, 20, 30):
+            for formula_seed in range(4):
+                target = random_formula(GenConfig(n, 2 * n, seed=formula_seed))
+                plain = clh(Teacher(target, strategy=strategy))
+                inner = Teacher(target, strategy=strategy)
+                simulated = clh(ClosureFromEntailment(inner))
+                assert trace_key(simulated) == trace_key(plain)
+                assert simulated.output.implications == plain.output.implications
+                assert simulated.stats.eeq == plain.stats.seq
+
     def test_repeated_closure_query_spends_nothing(self, gd_example):
         inner = Teacher(gd_example)
         adapter = ClosureFromEntailment(inner)
