@@ -16,15 +16,16 @@ answer logic, query counters and a counterexample-selection strategy.
 Equivalence-style answers prefer negative counterexamples (ones satisfying
 the hypothesis), and `seq` and `eeq` pick the same one under every
 strategy: "minimal" takes the bitwise-minimal assignment, which `eeq`
-states as a clause.  Only that negative side reads the target's own
-implications, through one record per implication that is carried across
-queries and kept exact by bit-mask bookkeeping: a query re-derives only the
-records its hypothesis change may have broken (incremental forward
-chaining, as in Dowling & Gallier 1984, carried across queries), and never
-walks the others.  A closure query whose assignment is already closed is
-answered with that assignment itself.  Every closure the teacher reads
-goes through the target's canonical basis instead (see
-:class:`Teacher`).
+states as a clause.  That negative side reads one record per implication
+of the target under "first", whose pick follows the target's list order,
+and of the target's canonical basis under "random" and "minimal".  The
+records are carried across queries and kept exact by bit-mask bookkeeping:
+a query re-derives only the records its hypothesis change may have broken
+(incremental forward chaining, as in Dowling & Gallier 1984, carried
+across queries), and never walks the others.  A closure query whose
+assignment is already closed is answered with that assignment itself.
+Every closure the teacher reads goes through the target's canonical basis
+(see :class:`Teacher`).
 """
 
 from __future__ import annotations
@@ -84,12 +85,12 @@ class Teacher:
     """Answers queries about a fixed target definite Horn formula.
 
     `strategy` picks among valid counterexamples, one rule for `seq` and
-    `eeq` (`_counterexample`): "first" scans implications in list order,
-    "random" draws uniformly from the candidates (a seed is required),
-    "minimal" takes the gap whose assignment `w` is bitwise-minimal.  `seq`
-    answers with `w`, `eeq` with the clause from the gap implication's
-    antecedent to the lowest consequent variable outside `w` (under
-    "random", a uniformly drawn one).
+    `eeq` (`_counterexample`): "first" scans the target's implications in
+    list order, "random" draws uniformly from the candidates (a seed is
+    required), "minimal" takes the gap whose assignment `w` is
+    bitwise-minimal.  `seq` answers with `w`, `eeq` with the clause from the
+    gap implication's antecedent to the lowest consequent variable outside
+    `w` (under "random", a uniformly drawn one).
 
     Every answer that is a closure read - membership (x is a model iff its
     closure is x), closure, entailment and the hypothesis side of an
@@ -102,15 +103,26 @@ class Teacher:
     The build is a fixed cost per teacher: about 0.07-0.15 ms on a tiny
     target (n below 10), about 3-7 ms at n=100, m=400 (Python 3.11).
 
-    Equivalence answers keep one record per target implication `a -> c`
-    (slot j), the result of its last derivation `_derive(a, pairs, c)`:
-    `_w[j]`, the mask it reached, and `_used[j]`, the pairs that fired.
-    Every record holds for `_have`, the pair set of the hypothesis that
-    `_negative_slot` last read: chaining `a` over `used` reaches `w`, and
-    `w` is the closure of `a` whenever `c` is not inside it.  A new
-    teacher's records are the derivations under the empty hypothesis
-    (`w = a`, nothing used), so a learner's first, empty hypothesis derives
-    nothing.  Int masks over the slots, bit j for slot j, index the records:
+    Equivalence answers keep one record per implication `a -> c` (slot j)
+    of `_slots`: the target's implications under "first", whose answer is
+    defined by their list order, and the basis's under "random" and
+    "minimal", where the candidates are any gaps of an equivalent formula.
+    Under "random" the draw is then uniform over the basis's gaps (93
+    records at n=100, m=400, instead of 400), and under "minimal" the
+    assignment `w` is the same over either formula: every negative
+    counterexample violates some basis implication.  An `eeq` clause's
+    antecedent and head still come from the slot's implication, here a
+    basis implication (quasi-closed antecedent, closed consequent), so a
+    direct `eeq` answer can differ from one read off the target's list.
+    A record is the result of its slot's last derivation
+    `_derive(a, pairs, c)`: `_w[j]`, the mask it reached, and `_used[j]`,
+    the pairs that fired.  Every record holds for `_have`, the pair set of
+    the hypothesis that `_negative_slot` last read: chaining `a` over
+    `used` reaches `w`, and `w` is the closure of `a` whenever `c` is not
+    inside it.  A new teacher's records are the derivations under the
+    empty hypothesis (`w = a`, nothing used), so a learner's first, empty
+    hypothesis derives nothing.  Int masks over the slots, bit j for slot
+    j, index the records:
     - `_gapbits`: the gap records (`c` not inside `w`);
     - `_users[pair]`: the records whose `used` holds `pair`, for the pairs
       of `_have` only;
@@ -120,9 +132,9 @@ class Teacher:
     broken (`_negative_slot`), then the strategy reads its pick off
     `_gapbits`.  Nothing is assumed of the hypothesis sequence, so every
     answer is that of a scan from scratch.  The state is one record per
-    target implication, each `used` at most `arity` pairs (every stored
-    pair added a bit to the derivation), the masks, and `_have`; `_users`
-    holds only pairs of `_have`.
+    slot, each `used` at most `arity` pairs (every stored pair added a bit
+    to the derivation), the masks, and `_have`; `_users` holds only pairs
+    of `_have`.
 
     Counters and records mutate, so confine an instance to one logical
     thread; the target itself is never modified.
@@ -139,14 +151,15 @@ class Teacher:
         self.strategy = strategy
         self.stats = QueryStats()
         self._rng = random.Random(seed) if seed is not None else None
-        masks = target._masks
+        self._basis = gd_basis(target)
+        self._slots = target._masks if strategy == "first" else self._basis._masks
+        masks = self._slots
         self._w = [a for a, _ in masks]
         self._used: list[list[tuple[int, int]]] = [[] for _ in masks]
         self._gapbits = sum(1 << j for j, (a, c) in enumerate(masks) if c & ~a)
         self._users: dict[tuple[int, int], int] = {}
         self._cols = _columns([a if c & ~a else 0 for a, c in masks], target.arity)[1]
         self._have: set[tuple[int, int]] = set()
-        self._basis = gd_basis(target)
 
     @property
     def arity(self) -> int:
@@ -190,11 +203,12 @@ class Teacher:
     def _counterexample(self, hyp: HornFormula) -> tuple[int, int, int] | None:
         """One `(a, w, gap)`, negative side first, picked by the strategy.
 
-        The negative side comes first: a target implication `a -> c` that the
-        hypothesis does not entail gives `w = hyp.close(a)`, which satisfies
-        the hypothesis and falsifies the target; it is read off the slot
-        records (`_negative_slot`).  The positive side walks the hypothesis
-        and closes through the basis, whose closures are the target's.
+        The negative side comes first: a slot's implication `a -> c` that
+        the hypothesis does not entail gives `w = hyp.close(a)`, which
+        satisfies the hypothesis and falsifies the target; it is read off
+        the slot records (`_negative_slot`).  The positive side walks the
+        hypothesis and closes through the basis, whose closures are the
+        target's.
         "first" takes the first gap in list order, "random" draws one gap of
         the side, "minimal" takes the gap with the bitwise-minimal `w`: every
         counterexample contains the closure of some violated implication's
@@ -203,7 +217,7 @@ class Teacher:
         """
         j = self._negative_slot(hyp)
         if j is not None:
-            a, c = self.target._masks[j]
+            a, c = self._slots[j]
             w = self._w[j]
             return a, w, c & ~w
         side = _gaps(hyp, self._basis)
@@ -219,7 +233,8 @@ class Teacher:
 
     def _negative_slot(self, hyp: HornFormula) -> int | None:
         """The gap slot the strategy picks, or None if `hyp` entails every
-        target implication; the same pick as a scan of `_gaps(target, hyp)`.
+        slot; the same pick as a scan of `_gaps(HornFormula._of(arity,
+        self._slots), hyp)`.
 
         Brings the records from `_have` to `hyp` first, re-deriving only the
         slots that may not hold.  A record that used a departed pair is
@@ -233,7 +248,7 @@ class Teacher:
         """
         have = set(hyp._masks)
         last, self._have = self._have, have
-        pairs, masks = hyp._masks, self.target._masks
+        pairs, masks = hyp._masks, self._slots
         ws, useds, users, cols = self._w, self._used, self._users, self._cols
         todo = 0
         for pair in last - have:

@@ -18,7 +18,14 @@ from __future__ import annotations
 
 import random
 
-from hornlearn import Assignment, GenConfig, HornFormula, Implication, Teacher
+from hornlearn import (
+    Assignment,
+    GenConfig,
+    HornFormula,
+    Implication,
+    Teacher,
+    gd_basis,
+)
 from hornlearn.core import _bit_list, _gaps, _mask_of
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -182,13 +189,21 @@ def augment(f: HornFormula, rng: random.Random, extra: int = 3) -> HornFormula:
     return HornFormula(n, imps, f.names)
 
 
+def record_formula(target, strategy):
+    """The formula whose implications a teacher's slot records follow: the
+    target itself under "first", its canonical basis otherwise."""
+    return target if strategy == "first" else gd_basis(target)
+
+
 def fresh_gap(target, hyp, strategy, rng):
     """The `(a, w, gap)` a teacher picks for `hyp`, from a scan from scratch
-    of `_gaps(target, hyp)`, then of `_gaps(hyp, target)`: on the first side
-    with a gap, "first" takes the first, "random" `rng.choice` of the list,
-    "minimal" the one with the bitwise-minimal `w`; None if there is none."""
+    of `_gaps(record_formula(target, strategy), hyp)`, then of
+    `_gaps(hyp, target)`: on the first side with a gap, "first" takes the
+    first, "random" `rng.choice` of the list, "minimal" the one with the
+    bitwise-minimal `w`; None if there is none."""
     n = target.arity
-    for side in (list(_gaps(target, hyp)), list(_gaps(hyp, target))):
+    negative = record_formula(target, strategy)
+    for side in (list(_gaps(negative, hyp)), list(_gaps(hyp, target))):
         if side:
             if strategy == "first":
                 return side[0]

@@ -439,7 +439,7 @@ class TestBench:
             assert plain[1:4] == simulated[1:4]  # n, m, seed
             assert simulated[8] == plain[4]  # eeq == seq
 
-    def test_minimal_above_its_arity_without_eeq(self, tmp_path):
+    def test_learns_under_minimal_at_n_13_to_16(self, tmp_path):
         out = tmp_path / "minimal.csv"
         assert main(
             ["bench", "--algos", "clh", "afp", "afp-closure", "--n-range", "13:16",
@@ -448,7 +448,7 @@ class TestBench:
         ) == 0
         assert len(out.read_text().splitlines()) == 1 + 3 * 2
 
-    def test_minimal_up_to_its_arity(self, tmp_path):
+    def test_learns_under_minimal_at_n_4_to_12(self, tmp_path):
         out = tmp_path / "minimal.csv"
         assert main(
             ["bench", "--algos", "clh", "afp", "--n-range", "4:12", "--m-range", "2:4",

@@ -339,10 +339,10 @@ GOLDEN_RUNS = {
     ("afp", "first", 7): ({"smq": 78, "seq": 23}, 13, 0x8C967985),
     ("clh-entail", "first", 7): ({"emq": 248, "eeq": 16}, 13, 0x8D502CB8),
     ("afp-closure", "first", 7): ({"seq": 23, "cq": 78}, 13, 0x8C967985),
-    ("clh", "random", 7): ({"seq": 18, "cq": 100}, 13, 0x743DEDEB),
-    ("afp", "random", 7): ({"smq": 79, "seq": 25}, 13, 0xAA3CA09A),
-    ("clh-entail", "random", 7): ({"emq": 290, "eeq": 17}, 13, 0x13D496BB),
-    ("afp-closure", "random", 7): ({"seq": 25, "cq": 79}, 13, 0xAA3CA09A),
+    ("clh", "random", 7): ({"seq": 17, "cq": 101}, 13, 0x465AFFC3),
+    ("afp", "random", 7): ({"smq": 73, "seq": 23}, 13, 0x6E50ACA3),
+    ("clh-entail", "random", 7): ({"emq": 248, "eeq": 16}, 13, 0x5F968542),
+    ("afp-closure", "random", 7): ({"seq": 23, "cq": 73}, 13, 0x6E50ACA3),
     ("clh", "minimal", None): ({"seq": 14, "cq": 83}, 13, 0xAD79EBFA),
     ("afp", "minimal", None): ({"smq": 70, "seq": 23}, 13, 0x743EAAC5),
     ("clh-entail", "minimal", None): ({"emq": 248, "eeq": 14}, 13, 0xAD79EBFA),
@@ -385,10 +385,10 @@ class QueryRecorder:
 # the mask sequence), for cq under clh and smq under afp
 QUERY_SEQUENCES = {
     ("clh", "first", None): (94, 25, 0x5BD09268),
-    ("clh", "random", 7): (100, 32, 0x35125C93),
+    ("clh", "random", 7): (101, 25, 0xDC7D53EA),
     ("clh", "minimal", None): (83, 25, 0x0CE56628),
     ("afp", "first", None): (78, 13, 0xEE9C5599),
-    ("afp", "random", 7): (79, 14, 0xAC4D5F5B),
+    ("afp", "random", 7): (73, 13, 0x2D5B3E61),
     ("afp", "minimal", None): (70, 12, 0xB115F362),
 }
 

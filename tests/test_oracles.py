@@ -33,6 +33,7 @@ from helpers import (
     formula,
     fresh_gap,
     lex_key,
+    record_formula,
     vs,
 )
 
@@ -65,7 +66,7 @@ class TestConstruction:
             Teacher(gd_example, strategy="random")
 
     @pytest.mark.parametrize("learner", [clh, afp])
-    def test_minimal_above_the_eeq_limit_learns(self, learner):
+    def test_learns_under_minimal(self, learner):
         target = random_formula(GenConfig(14, 40, (1, 4), (1, 2), seed=3))
         report = learner(Teacher(target, strategy="minimal"))
         assert equivalent(report.output, target)
@@ -433,28 +434,30 @@ class TestLongLivedTeacher:
     )
     @pytest.mark.parametrize("learner", [clh, afp])
     def test_whole_runs_match_a_teacher_without_slots(self, learner, strategy, seed):
-        def digest(report):
-            trace = [
-                (e.kind, e.index, e.hypothesis._masks, e.counterexample.mask)
-                for e in report.trace
-            ]
-            return report.output._masks, report.stats, trace
-
         for formula_seed in (1, 2):
             config = GenConfig(60, 240, (1, 4), (1, 2), seed=formula_seed)
             target = random_formula(config)
             plain = FreshScanTeacher(target, strategy=strategy, seed=seed)
-            got = digest(learner(Teacher(target, strategy=strategy, seed=seed)))
-            assert got == digest(learner(plain))
+            got = _run_digest(learner(Teacher(target, strategy=strategy, seed=seed)))
+            assert got == _run_digest(learner(plain))
+
+
+def _run_digest(report):
+    """A whole run: its output, its counters and every round of its trace."""
+    trace = [
+        (e.kind, e.index, e.hypothesis._masks, e.counterexample.mask)
+        for e in report.trace
+    ]
+    return report.output._masks, report.stats, trace
 
 
 def _assert_bounded_records(teacher, last):
     """The slot records' invariants after the hypothesis `last`: one record
-    per target implication, each pair of its `used` a pair of `last` that
-    added a bit, chaining `a` over `used` reaches `w`, a gap record's `w` is
-    the closure of `a` under `last`, and the slot masks are the ones rebuilt
-    from the records."""
-    target = teacher.target
+    per implication of the formula they index (`record_formula`), each pair
+    of its `used` a pair of `last` that added a bit, chaining `a` over `used`
+    reaches `w`, a gap record's `w` is the closure of `a` under `last`, and
+    the slot masks are the ones rebuilt from the records."""
+    target = record_formula(teacher.target, teacher.strategy)
     assert len(teacher._w) == len(teacher._used) == len(target)
     have = set(last._masks)
     gapbits, cols, users = 0, [0] * target.arity, {}
@@ -561,6 +564,23 @@ class TestBasisBackedTeacher:
             for teacher in teachers[1:]:
                 assert (teacher.cq(x), teacher.smq(x)) == want
                 assert [teacher.emq(c) for c in clauses] == want_emq
+
+    @pytest.mark.parametrize("strategy, seed", [("random", 7), ("minimal", None)])
+    @pytest.mark.parametrize("learner", [clh, afp])
+    def test_runs_do_not_depend_on_the_target_beyond_its_basis(
+        self, learner, strategy, seed
+    ):
+        # under "random" and "minimal" the slot records follow the basis, so
+        # a target and its basis teach alike; "first" follows the target's
+        # list order and may differ
+        for formula_seed in range(1, 9):
+            config = GenConfig(30, 120, (1, 4), (1, 2), seed=formula_seed)
+            target = random_formula(config)
+            runs = [
+                _run_digest(learner(Teacher(f, strategy=strategy, seed=seed)))
+                for f in (target, gd_basis(target))
+            ]
+            assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("name", sorted(_awkward_targets()))
     def test_learning_leaves_the_target_memo_empty(self, name):

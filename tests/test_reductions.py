@@ -490,7 +490,7 @@ class TestAdapters:
             ),
             (
                 clh, ClosureFromEntailment, "random", 7,
-                "5028dbaeff73d39ad46f707f75253801a1248747eadbe97817bb0e585defc87a",
+                "a4820141fe3e175030e8595598db37036b99ef6fa4883f6f53aca04443cc4512",
             ),
             (
                 afp, StandardFromClosure, "first", None,
@@ -498,7 +498,7 @@ class TestAdapters:
             ),
             (
                 afp, StandardFromClosure, "random", 7,
-                "35e19a3b2444d5a113e764662b4062baf93331aeaf404725758f72513ec8336f",
+                "183eaa4848543fa12f195af84612709573341dc9d3df6cced2d57aa4c5311b28",
             ),
         ],
     )
