@@ -163,8 +163,7 @@ class Assignment:
         mask, n = self.mask, self.n
         if n < 0:
             raise ArityError(f"negative arity {n}")
-        if mask < 0 or mask >> n:
-            raise ArityError(f"mask {mask:#x} does not fit {n} bits")
+        _check_fits(mask, n)
 
     @classmethod
     def from_vars(cls, variables: Iterable[int], n: int) -> "Assignment":

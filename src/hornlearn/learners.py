@@ -4,8 +4,10 @@
 Guigues-Duquenne basis of the target.  ``afp`` is the classic learner from
 standard membership and equivalence queries, in the variant that keeps, per
 negative example, the strongest consequent compatible with the positive
-examples seen so far; its output is equivalent to the target but not
-canonical in general.
+examples seen so far; its output is the Guigues-Duquenne basis too, each
+consequent without its antecedent, whatever counterexamples it receives
+(Arias & Balcazar, "Construction and learnability of canonical Horn
+formulas", Machine Learning, 2011).
 
 Each learner's state is one list of (antecedent, consequent) mask pairs,
 and each round's hypothesis is ``HornFormula._of(n, pairs)``: in ``clh``,

@@ -15,14 +15,14 @@ A :class:`Teacher` wraps an immutable target formula with per-protocol
 answer logic, query counters and a counterexample-selection strategy.
 Equivalence-style answers prefer negative counterexamples (ones satisfying
 the hypothesis), and `seq` and `eeq` pick the same one under every
-strategy: "minimal" takes the bitwise-minimal assignment, which `eeq`
-states as a clause.  That negative side reads one record per implication
-of the target under "first", whose pick follows the target's list order,
-and of the target's canonical basis under "random" and "minimal".  The
-records are carried across queries and kept exact by bit-mask bookkeeping:
-a query re-derives only the records its hypothesis change may have broken
-(incremental forward chaining, as in Dowling & Gallier 1984, carried
-across queries), and never walks the others.  A closure query whose
+strategy, which `eeq` states as a clause with its lowest head.  That
+negative side reads one record per implication of the target under
+"first", whose pick follows the target's list order, and of the target's
+canonical basis under "random" and "minimal".  The records are carried
+across queries and kept exact by bit-mask bookkeeping: a query re-derives
+only the records its hypothesis change may have broken (incremental forward
+chaining, as in Dowling & Gallier 1984, carried across queries), and never
+walks the others.  A closure query whose
 assignment is already closed is answered with that assignment itself.
 Every closure the teacher reads goes through the target's canonical basis
 (see :class:`Teacher`).
@@ -90,7 +90,7 @@ class Teacher:
     required), "minimal" takes the gap whose assignment `w` is
     bitwise-minimal.  `seq` answers with `w`, `eeq` with the clause from the
     gap implication's antecedent to the lowest consequent variable outside
-    `w` (under "random", a uniformly drawn one).
+    `w`.
 
     Every answer that is a closure read - membership (x is a model iff its
     closure is x), closure, entailment and the hypothesis side of an
@@ -117,7 +117,7 @@ class Teacher:
     A record is the result of its slot's last derivation
     `_derive(a, pairs, c)`: `_w[j]`, the mask it reached, and `_used[j]`,
     the pairs that fired.  Every record holds for `_have`, the pair set of
-    the hypothesis that `_negative_slot` last read: chaining `a` over
+    the hypothesis that `_sync` last read: chaining `a` over
     `used` reaches `w`, and `w` is the closure of `a` whenever `c` is not
     inside it.  A new teacher's records are the derivations under the
     empty hypothesis (`w = a`, nothing used), so a learner's first, empty
@@ -129,12 +129,11 @@ class Teacher:
     - `_cols[v]`: the gap records whose `w` holds variable v, kept by XOR
       of the old and new `w` at each derivation.
     Each SEQ/EEQ re-derives only the records the hypothesis change may have
-    broken (`_negative_slot`), then the strategy reads its pick off
-    `_gapbits`.  Nothing is assumed of the hypothesis sequence, so every
-    answer is that of a scan from scratch.  The state is one record per
-    slot, each `used` at most `arity` pairs (every stored pair added a bit
-    to the derivation), the masks, and `_have`; `_users` holds only pairs
-    of `_have`.
+    broken (`_sync`), then `_counterexample` picks off `_gapbits`.  Nothing
+    is assumed of the hypothesis sequence, so every answer is that of a scan
+    from scratch.  The state is one record per slot, each `used` at most
+    `arity` pairs (every stored pair added a bit to the derivation), the
+    masks, and `_have`; `_users` holds only pairs of `_have`.
 
     Counters and records mutate, so confine an instance to one logical
     thread; the target itself is never modified.
@@ -194,11 +193,7 @@ class Teacher:
         if found is None:
             return None
         a, _, gap = found
-        if self.strategy == "random":
-            head = self._rng.choice(_bit_list(gap))
-        else:
-            head = _low_bit(gap)
-        return EntailmentClause._of(a, head)
+        return EntailmentClause._of(a, _low_bit(gap))
 
     def _counterexample(self, hyp: HornFormula) -> tuple[int, int, int] | None:
         """One `(a, w, gap)`, negative side first, picked by the strategy.
@@ -206,45 +201,51 @@ class Teacher:
         The negative side comes first: a slot's implication `a -> c` that
         the hypothesis does not entail gives `w = hyp.close(a)`, which
         satisfies the hypothesis and falsifies the target; it is read off
-        the slot records (`_negative_slot`).  The positive side walks the
-        hypothesis and closes through the basis, whose closures are the
-        target's.
+        the slot records (`_sync`), the same candidates in the same order as
+        a scan of `_gaps(HornFormula._of(arity, self._slots), hyp)`.  The
+        positive side walks the hypothesis and closes through the basis,
+        whose closures are the target's.
         "first" takes the first gap in list order, "random" draws one gap of
-        the side, "minimal" takes the gap with the bitwise-minimal `w`: every
-        counterexample contains the closure of some violated implication's
-        antecedent, so the bitwise-minimal ones are minimal elements of these
-        closures themselves.
+        the side (the k-th gap slot, with the call `rng.choice` makes on the
+        list of gaps), "minimal" takes the gap with the bitwise-minimal `w`:
+        every counterexample contains the closure of some violated
+        implication's antecedent, so the bitwise-minimal ones are minimal
+        elements of these closures themselves.
         """
-        j = self._negative_slot(hyp)
-        if j is not None:
-            a, c = self._slots[j]
-            w = self._w[j]
-            return a, w, c & ~w
-        side = _gaps(hyp, self._basis)
+        gaps = self._sync(hyp)
+        if gaps and self.strategy != "minimal":
+            if self.strategy == "random":
+                for _ in range(self._rng.choice(range(gaps.bit_count()))):
+                    gaps &= gaps - 1
+            return self._record(_low_bit(gaps))
+        # what is left: "minimal" over the gap slots, or the positive side
+        side = map(self._record, _bit_list(gaps)) if gaps else _gaps(hyp, self._basis)
         if self.strategy == "first":
             return next(side, None)
-        gaps = list(side)
-        if not gaps:
+        found = list(side)
+        if not found:
             return None
         if self.strategy == "random":
-            return self._rng.choice(gaps)
+            return self._rng.choice(found)
         n = self.target.arity
-        return min(gaps, key=lambda t: (t[1].bit_count(), _lex_key(t[1], n)))
+        return min(found, key=lambda t: (t[1].bit_count(), _lex_key(t[1], n)))
 
-    def _negative_slot(self, hyp: HornFormula) -> int | None:
-        """The gap slot the strategy picks, or None if `hyp` entails every
-        slot; the same pick as a scan of `_gaps(HornFormula._of(arity,
-        self._slots), hyp)`.
+    def _record(self, j: int) -> tuple[int, int, int]:
+        a, c = self._slots[j]
+        w = self._w[j]
+        return a, w, c & ~w
 
-        Brings the records from `_have` to `hyp` first, re-deriving only the
-        slots that may not hold.  A record that used a departed pair is
-        found through `_users`.  A gap record keeps `w`, the closure of `a`
-        under the previous hypothesis: the pairs that stayed do not fire on
-        it, so it is the closure under `hyp` unless an entered pair `(x, y)`
-        fires on it, and the gap slots whose `w` holds `x` are the AND of
-        `x`'s columns.  An entailed record holds while its `used` remains,
-        since adding pairs only grows a closure.  "random" then draws the
-        k-th gap slot with the call `rng.choice` makes on the list of gaps.
+    def _sync(self, hyp: HornFormula) -> int:
+        """Brings the records from `_have` to `hyp` and returns `_gapbits`,
+        the mask of the gap slots (0 if `hyp` entails every slot).
+
+        Re-derives only the slots that may not hold.  A record that used a
+        departed pair is found through `_users`.  A gap record keeps `w`, the
+        closure of `a` under the previous hypothesis: the pairs that stayed do
+        not fire on it, so it is the closure under `hyp` unless an entered
+        pair `(x, y)` fires on it, and the gap slots whose `w` holds `x` are
+        the AND of `x`'s columns.  An entailed record holds while its `used`
+        remains, since adding pairs only grows a closure.
         """
         have = set(hyp._masks)
         last, self._have = self._have, have
@@ -288,17 +289,7 @@ class Teacher:
             if gap:
                 gaps |= low
         self._gapbits = gaps
-        if not gaps:
-            return None
-        if self.strategy == "minimal":
-            n = self.target.arity
-            return min(
-                _bit_list(gaps), key=lambda j: (ws[j].bit_count(), _lex_key(ws[j], n))
-            )
-        if self.strategy == "random":
-            for _ in range(self._rng.choice(range(gaps.bit_count()))):
-                gaps &= gaps - 1
-        return _low_bit(gaps)
+        return gaps
 
 
 class AdversarialSmqTeacher:

@@ -136,6 +136,37 @@ def test_criterion_03_clh_learns_the_canonical_basis(corpus_runs):
     assert total < 60
 
 
+def test_criterion_15_afp_learns_the_canonical_basis(corpus_runs):
+    """`afp` outputs the GD basis, each consequent without its antecedent,
+    whatever counterexamples it gets (Arias & Balcazar, Machine Learning,
+    2011): on the criterion-3 targets, under every strategy, directly and
+    over the closure-query simulation."""
+    _, targets, _ = corpus_runs
+    rng = random.Random(CORPUS_SEED + 15)
+    started = time.perf_counter()
+    runs = mismatches = 0
+    for target, basis in targets:
+        want = set(basis._masks)
+        jobs = [("first", None), ("random", rng.randrange(2**32)), ("minimal", None)]
+        for strategy, seed in jobs:
+            for wrap in (lambda t: t, StandardFromClosure):
+                report = afp(wrap(Teacher(target, strategy=strategy, seed=seed)))
+                runs += 1
+                if {(a, a | c) for a, c in report.output._masks} != want:
+                    mismatches += 1
+    total = time.perf_counter() - started
+    ok = mismatches == 0 and total < 60
+    _report(
+        15,
+        ok,
+        f"{runs} afp runs over {len(targets)} targets, {total:.1f}s, "
+        f"{mismatches} outputs other than the canonical basis",
+    )
+    assert mismatches == 0
+    assert runs >= 3000
+    assert total < 60
+
+
 def test_criterion_04_query_ceilings(corpus_runs):
     runs, _, _ = corpus_runs
     violations = []

@@ -298,6 +298,38 @@ class TestEeq:
             if any(c & ~hypothesis.close(a) for a, c in target._masks):
                 assert entails(target, clause) and not entails(hypothesis, clause)
 
+    @pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
+    def test_states_the_seq_counterexample_with_its_lowest_head(self, strategy):
+        # a twin teacher asked seq on the same hypotheses answers w; eeq
+        # answers with the antecedent of an implication whose gap w is, on
+        # the side w falls on, and the lowest variable of that gap as head
+        rng = random.Random(69)
+        for _ in range(12):
+            n = rng.randint(3, 12)
+            target = random_formula(GenConfig(n, 2 * n, seed=rng.randrange(2**32)))
+            seed = 23 if strategy == "random" else None
+            by_eeq = Teacher(target, strategy=strategy, seed=seed)
+            by_seq = Teacher(target, strategy=strategy, seed=seed)
+            pairs, history = [], [[]]
+            for _ in range(60):
+                pairs = _mutate(rng, pairs, history, target)
+                history.append(pairs)
+                h = HornFormula._of(n, pairs)
+                clause, x = by_eeq.eeq(h), by_seq.seq(h)
+                if x is None:
+                    assert clause is None
+                    continue
+                if satisfies(x, h):
+                    side = core._gaps(record_formula(target, strategy), h)
+                else:
+                    side = core._gaps(h, target)
+                stated = {
+                    EntailmentClause._of(a, (gap & -gap).bit_length() - 1)
+                    for a, w, gap in side
+                    if w == x.mask
+                }
+                assert clause in stated
+
 
 def _mask_pair(rng, n, heads=None):
     """A random (antecedent, consequent) mask pair; the consequent is drawn
@@ -377,8 +409,7 @@ class TestLongLivedTeacher:
                 if found is not None:
                     a, _, gap = found
                     heads = [v for v in range(n) if gap >> v & 1]
-                    head = replay.choice(heads) if strategy == "random" else heads[0]
-                    want = EntailmentClause._of(a, head)
+                    want = EntailmentClause._of(a, heads[0])
                 assert teacher.eeq(h) == want
 
             _assert_bounded_records(teacher, h)
