@@ -86,6 +86,6 @@ def parse_formula(text: str) -> HornFormula:
 def format_formula(formula: HornFormula) -> str:
     names = formula.names or default_names(formula.arity)
     _header_index(names)
-    lines = ["vars: " + " ".join(names)]
+    lines = [" ".join(["vars:", *names])]
     lines += [_line(_bit_list(a), _bit_list(c), names) for a, c in formula._masks]
     return "\n".join(lines) + "\n"

@@ -17,7 +17,8 @@ the value it asked each mask with and hands the teacher that same value when
 the mask comes up again.  Every query is still asked.
 
 Both take any teacher-shaped object: ``clh`` needs ``cq``/``seq``, ``afp``
-needs ``smq``/``seq``, plus ``arity`` and ``stats``.  An equivalence answer
+needs ``smq``/``seq``, plus ``arity`` and ``stats``, each bound once: the
+adapters copy both from the teacher they wrap.  An equivalence answer
 is the counterexample itself, of the arity's length, or None for YES.
 Protocol-simulation adapters from :mod:`hornlearn.reductions` satisfy the
 same shape, so the learners run unchanged against other query models.
@@ -158,6 +159,12 @@ def afp(teacher) -> LearnerReport:
     counterexamples refine the example list exactly as in `clh`, except the
     negativity of an intersection is tested with a membership query;
     positive ones shrink the consequents of the entries they cover.
+
+    Each round appends an entry, strictly shrinks one antecedent (at most
+    n times per entry) or, on a positive counterexample, strictly shrinks
+    some consequent, which stays nonempty (at most n-1 times per entry
+    between two refines of it).  So whatever the teacher answers, the k-th
+    equivalence query, asked with |N| entries, has k <= n(n+1)|N|+1.
     """
     n = teacher.arity
     full = (1 << n) - 1

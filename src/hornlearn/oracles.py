@@ -87,10 +87,10 @@ class Teacher:
     `strategy` picks among valid counterexamples, one rule for `seq` and
     `eeq` (`_counterexample`): "first" scans the target's implications in
     list order, "random" draws uniformly from the candidates (a seed is
-    required), "minimal" takes the gap whose assignment `w` is
-    bitwise-minimal.  `seq` answers with `w`, `eeq` with the clause from the
-    gap implication's antecedent to the lowest consequent variable outside
-    `w`.
+    required, and no other strategy reads it), "minimal" takes the gap
+    whose assignment `w` is bitwise-minimal.  `seq` answers with `w`, `eeq`
+    with the clause from the gap implication's antecedent to the lowest
+    consequent variable outside `w`.
 
     Every answer that is a closure read - membership (x is a model iff its
     closure is x), closure, entailment and the hypothesis side of an
@@ -147,9 +147,10 @@ class Teacher:
         if strategy == "random" and seed is None:
             raise ValueError("the random strategy needs an explicit seed")
         self.target = target
+        self.arity = target.arity
         self.strategy = strategy
         self.stats = QueryStats()
-        self._rng = random.Random(seed) if seed is not None else None
+        self._rng = random.Random(seed) if strategy == "random" else None
         self._basis = gd_basis(target)
         self._slots = target._masks if strategy == "first" else self._basis._masks
         masks = self._slots
@@ -160,17 +161,13 @@ class Teacher:
         self._cols = _columns([a if c & ~a else 0 for a, c in masks], target.arity)[1]
         self._have: set[tuple[int, int]] = set()
 
-    @property
-    def arity(self) -> int:
-        return self.target.arity
-
     def smq(self, x: Assignment) -> bool:
         answer = satisfies(x, self._basis)  # validates the length
         self.stats.smq += 1
         return answer
 
     def cq(self, y: Assignment) -> Assignment:
-        _check_length(y, self.target.arity)
+        _check_length(y, self.arity)
         self.stats.cq += 1
         closed = self._basis.close(y.mask)
         return y if closed == y.mask else Assignment(closed, y.n)
@@ -227,7 +224,7 @@ class Teacher:
             return None
         if self.strategy == "random":
             return self._rng.choice(found)
-        n = self.target.arity
+        n = self.arity
         return min(found, key=lambda t: (t[1].bit_count(), _lex_key(t[1], n)))
 
     def _record(self, j: int) -> tuple[int, int, int]:
@@ -307,11 +304,8 @@ class AdversarialSmqTeacher:
             raise ValueError("need at least one variable")
         self.n = n
         self.queries = 0
+        self.initial_candidates = (1 << n) - 1
         self._ruled_out: set[int] = set()
-
-    @property
-    def initial_candidates(self) -> int:
-        return (1 << self.n) - 1
 
     @property
     def remaining_candidates(self) -> int:

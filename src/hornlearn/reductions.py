@@ -208,14 +208,11 @@ class _Adapter:
     def __init__(self, inner) -> None:
         self.inner = inner
         self.arity = inner.arity
+        self.stats = inner.stats
         self.adapter_stats = AdapterStats()
         # (op, *counter deltas) -> the one log entry of every such call; the
         # per-call budgets keep the distinct deltas few
         self._entries: dict[tuple, tuple[str, dict[str, int]]] = {}
-
-    @property
-    def stats(self):
-        return self.inner.stats
 
     def _log(self, key) -> None:
         entry = self._entries.get(key)
@@ -225,7 +222,7 @@ class _Adapter:
         self.adapter_stats.calls.append(entry)
 
     def _run(self, op, fn, query):
-        stats = self.inner.stats
+        stats = self.stats
         before = _snapshot(stats)
         try:
             return fn(self.inner, query)

@@ -132,6 +132,9 @@ class TestFormat:
         assert back == f
         assert back.names == f.names
 
+    def test_no_variables_has_no_trailing_space(self):
+        assert format_formula(parse_formula("vars:\n")) == "vars:\n"
+
     @pytest.mark.parametrize(
         "names, bad",
         [

@@ -288,6 +288,84 @@ class TestAfp:
             afp(RepeatingTeacher())
 
 
+class AfpRoundBound:
+    """Passes queries through and asserts `afp`'s round bound at every SEQ:
+    the k-th is asked with |N| = len(hypothesis) entries, k <= n(n+1)|N|+1."""
+
+    def __init__(self, inner):
+        self.inner, self.arity, self.stats = inner, inner.arity, inner.stats
+        self.seqs = 0
+
+    def smq(self, x):
+        return self.inner.smq(x)
+
+    def seq(self, hypothesis):
+        self.seqs += 1
+        n, entries = self.arity, len(hypothesis)
+        assert self.seqs <= n * (n + 1) * entries + 1, (self.seqs, n, entries)
+        return self.inner.seq(hypothesis)
+
+
+class CoinFlipTeacher:
+    """Answers with no target behind them.  A tenth of the counterexamples
+    are random assignments; the rest are "negative": a random assignment
+    that satisfies the hypothesis, or YES when 20 draws find none.  A
+    membership answer is a coin flip of the teacher's own bias.  YES once
+    100 SEQs have been asked."""
+
+    def __init__(self, n, seed):
+        self.arity, self.stats = n, QueryStats()
+        self._rng = random.Random(seed)
+        self._bias = self._rng.random()
+
+    def seq(self, hypothesis):
+        self.stats.seq += 1
+        n, rng = self.arity, self._rng
+        if self.stats.seq > 100:
+            return None
+        if rng.random() < 0.1:
+            return Assignment(rng.getrandbits(n), n)
+        for _ in range(20):
+            x = Assignment(rng.getrandbits(n), n)
+            if satisfies(x, hypothesis):
+                return x
+        return None
+
+    def smq(self, x):
+        self.stats.smq += 1
+        return self._rng.random() < self._bias
+
+
+class TestAfpRoundBound:
+    def test_honest_teachers(self):
+        rng = random.Random(38)
+        for _ in range(500):
+            n = rng.randint(1, 14)
+            target = random_formula(
+                GenConfig(n, rng.randint(0, 4 * n), seed=rng.randrange(2**32))
+            )
+            for strategy in ("first", "random", "minimal"):
+                for simulate in (False, True):
+                    teacher = Teacher(target, strategy=strategy, seed=3)
+                    if simulate:
+                        teacher = StandardFromClosure(teacher)
+                    report = afp(AfpRoundBound(teacher))
+                    assert equivalent(report.output, target)
+
+    def test_lying_teachers(self):
+        rng = random.Random(38)
+        outcomes = {"yes": 0, "protocol error": 0}
+        for seed in range(2000):
+            teacher = CoinFlipTeacher(rng.randint(1, 10), seed)
+            try:
+                afp(AfpRoundBound(teacher))
+                outcomes["yes"] += 1
+            except ProtocolError:
+                outcomes["protocol error"] += 1
+        # the lies end runs both ways, so neither kind of answer is vacuous
+        assert min(outcomes.values()) > 0, outcomes
+
+
 @pytest.mark.parametrize(
     "learner",
     [clh, afp, lambda teacher: afp(StandardFromClosure(teacher))],

@@ -65,6 +65,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Teacher(gd_example, strategy="random")
 
+    def test_arity_is_bound_once(self, gd_example):
+        assert vars(Teacher(gd_example))["arity"] == gd_example.arity == 5
+
+    @pytest.mark.parametrize("strategy", ["first", "minimal"])
+    @pytest.mark.parametrize("learner", [clh, afp])
+    def test_only_random_reads_a_seed(self, learner, strategy):
+        for formula_seed in range(1, 6):
+            config = GenConfig(20, 60, (1, 4), (1, 2), seed=formula_seed)
+            target = random_formula(config)
+            seeded = Teacher(target, strategy=strategy, seed=3)
+            assert seeded._rng is None
+            plain = Teacher(target, strategy=strategy)
+            assert _run_digest(learner(seeded)) == _run_digest(learner(plain))
+        assert Teacher(target, strategy="random", seed=3)._rng is not None
+
     @pytest.mark.parametrize("learner", [clh, afp])
     def test_learns_under_minimal(self, learner):
         target = random_formula(GenConfig(14, 40, (1, 4), (1, 2), seed=3))
@@ -627,6 +642,12 @@ class TestAdversary:
         assert AdversarialSmqTeacher(2).remaining_candidates == 3
         with pytest.raises(ValueError, match="at least one variable"):
             AdversarialSmqTeacher(0)
+
+    def test_initial_count_is_bound_once(self):
+        adversary = AdversarialSmqTeacher(3)
+        adversary.smq(asg("010"))
+        assert vars(adversary)["initial_candidates"] == 7
+        assert adversary.remaining_candidates == 6
 
     def test_top_query_is_positive_and_free(self):
         adversary = AdversarialSmqTeacher(3)

@@ -484,25 +484,30 @@ class TestAdapters:
         spent = adapter.adapter_stats.per_call("cq")
         assert sum(1 for s in spent if s.get("emq", 0) > 0) > len(set(masks))
 
-    # sha256 of repr(adapter_stats.calls) on one n=30 target
+    # sha256 of repr(adapter_stats.calls) on one n=30 target; the ids leave
+    # the digest out, so a re-pin keeps the test's name
     @pytest.mark.parametrize(
         "learner, adapter_class, strategy, seed, digest",
         [
-            (
+            pytest.param(
                 clh, ClosureFromEntailment, "first", None,
                 "c9276d0f78ae82dd2d078fb5856a565cb8d3b8000d85ba4aa4d7d12e4df44b19",
+                id="clh-ClosureFromEntailment-first",
             ),
-            (
+            pytest.param(
                 clh, ClosureFromEntailment, "random", 7,
                 "72217728a27d9715eb50766ccd5b8e16a7de6451a88c2da64dc422a100dc1163",
+                id="clh-ClosureFromEntailment-random-7",
             ),
-            (
+            pytest.param(
                 afp, StandardFromClosure, "first", None,
                 "63f40d4d81cb083408611055900543c0cc9df04022bff72c8b553ebd5a180bc9",
+                id="afp-StandardFromClosure-first",
             ),
-            (
+            pytest.param(
                 afp, StandardFromClosure, "random", 7,
                 "183eaa4848543fa12f195af84612709573341dc9d3df6cced2d57aa4c5311b28",
+                id="afp-StandardFromClosure-random-7",
             ),
         ],
     )
@@ -516,6 +521,30 @@ class TestAdapters:
         calls = repr(adapter.adapter_stats.calls).encode()
         assert hashlib.sha256(calls).hexdigest() == digest
         assert_log_adds_up(adapter, inner.stats)
+
+    @pytest.mark.parametrize("strategy, seed", [("first", None), ("random", 7)])
+    @pytest.mark.parametrize(
+        "learner, stack",
+        [
+            (clh, [ClosureFromEntailment]),
+            (clh, [ClosureFromEntailment, EntailmentFromClosure]),
+            (afp, [StandardFromClosure]),
+            (clh, [ClosureFromStandard]),
+            (afp, [StandardFromClosure, ClosureFromStandard]),
+        ],
+        ids=lambda v: "-".join(c.__name__ for c in v) if isinstance(v, list) else None,
+    )
+    def test_arity_and_counters_are_the_teachers(self, learner, stack, strategy, seed):
+        target = random_formula(GenConfig(12, 36, (1, 3), (1, 2), seed=5))
+        teacher = inner = Teacher(target, strategy=strategy, seed=seed)
+        for adapter_class in reversed(stack):
+            adapter = adapter_class(inner)
+            assert vars(adapter)["stats"] is inner.stats is teacher.stats
+            assert vars(adapter)["arity"] == inner.arity == 12
+            inner = adapter
+        report = learner(inner)
+        assert report.stats == teacher.stats != QueryStats()
+        assert report.stats is not teacher.stats
 
     def test_calls_with_equal_spends_share_one_entry(self, gd_example):
         adapter = StandardFromClosure(Teacher(gd_example))
