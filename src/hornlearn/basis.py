@@ -4,9 +4,11 @@ An implication of a formula H is right-saturated when its consequent equals
 the closure of its antecedent, left-saturated when its antecedent equals its
 own quasi-closure, and saturated when both hold (always with respect to H
 itself).  A definite Horn function has at most one fully saturated basis,
-which also has the minimum number of implications; the pipeline here
-computes it as right-saturate, then left-saturate, then drop redundant
-implications.
+which also has the minimum number of implications.  `gd_basis` computes it
+by right, then left saturation, then reads redundancy off the quasi-closure
+columns.  The predicates are fixed-point tests: `f` is left-saturated when
+`left_saturate(right_saturate(f))` keeps its antecedents, saturated when
+it gives `f` back.
 
 No stage chains one antecedent at a time.  Both saturations close every
 antecedent at once in one row-parallel fixpoint (`_saturate`) over bit
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .core import HornFormula, _bit_list, _derive, _quasi
+from .core import HornFormula, _bit_list, _derive
 
 _Bits = Sequence[Sequence[int]]
 
@@ -217,15 +219,19 @@ def right_saturate(formula: HornFormula) -> HornFormula:
 
 
 def is_right_saturated(formula: HornFormula) -> bool:
-    return all(c == formula.close(a) for a, c in formula._masks)
+    """Each consequent is its antecedent's closure: holds it and is closed."""
+    return all(not a & ~c and formula.close(c) == c for a, c in formula._masks)
 
 
 def is_left_saturated(formula: HornFormula) -> bool:
-    return all(_quasi(a, formula) == a for a, _ in formula._masks)
+    """Each antecedent is its own quasi-closure, which is the same over the
+    formula and over its right saturation."""
+    ants = [a for a, _ in left_saturate(right_saturate(formula))._masks]
+    return ants == [a for a, _ in formula._masks]
 
 
 def is_saturated(formula: HornFormula) -> bool:
-    return is_right_saturated(formula) and is_left_saturated(formula)
+    return left_saturate(right_saturate(formula)) == formula
 
 
 def left_saturate(formula: HornFormula) -> HornFormula:

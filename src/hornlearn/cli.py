@@ -28,7 +28,6 @@ from .basis import gd_basis
 from .core import (
     ArityError,
     HornFormula,
-    Implication,
     closure,
     equivalent,
     separating_assignment,
@@ -77,17 +76,6 @@ def cmd_closure(args) -> int:
     return 0
 
 
-def _in_order(formula: HornFormula, names: tuple[str, ...]) -> HornFormula:
-    """The formula over the same tokens, numbered in the order of `names`."""
-    position = {tok: i for i, tok in enumerate(names)}
-    index = [position[tok] for tok in formula.names]
-    imps = [
-        Implication({index[v] for v in i.antecedent}, {index[v] for v in i.consequent})
-        for i in formula.implications
-    ]
-    return HornFormula(formula.arity, imps, names)
-
-
 def cmd_equiv(args) -> int:
     f = _load(args.file1)
     g = _load(args.file2)
@@ -102,7 +90,10 @@ def cmd_equiv(args) -> int:
             file=sys.stderr,
         )
         return 2
-    witness = separating_assignment(f, _in_order(g, f.names))
+    # g's own lines, parsed under f's header: numbered in the order of f's tokens
+    header = format_formula(HornFormula._of(f.arity, (), f.names))
+    g = parse_formula(header + format_formula(g).partition("\n")[2])
+    witness = separating_assignment(f, g)
     if witness is None:
         print("equivalent")
         return 0

@@ -123,6 +123,14 @@ def _derive(
     return mask, used
 
 
+def _is_model(mask: int, pairs: Sequence[tuple[int, int]]) -> bool:
+    """True iff `mask` satisfies all of `pairs`, read with no closure memo."""
+    for a, c in pairs:
+        if a & mask == a and c & mask != c:
+            return False
+    return True
+
+
 def _lex_key(mask: int, arity: int) -> int:
     # variable 0 is the most significant position in the lexicographic order
     return int(format(mask, f"0{arity}b")[::-1], 2)
@@ -435,16 +443,13 @@ def _check_same_arity(f: HornFormula, g: HornFormula) -> None:
 
 def closure(start: Iterable[int], formula: HornFormula) -> frozenset[int]:
     """The least superset of `start` stable under the formula's implications."""
-    mask = _mask_of(start)
-    _check_fits(mask, formula.arity)
+    mask = Assignment.from_vars(start, formula.arity).mask
     return frozenset(_bit_list(formula.close(mask)))
 
 
 def subformula_same_class(start: Iterable[int], formula: HornFormula) -> HornFormula:
     """Implications whose antecedent has the same closure as `start`, in order."""
-    mask = _mask_of(start)
-    _check_fits(mask, formula.arity)
-    target = formula.close(mask)
+    target = formula.close(Assignment.from_vars(start, formula.arity).mask)
     keep = [p for p in formula._masks if formula.close(p[0]) == target]
     return HornFormula._of(formula.arity, keep, formula.names)
 
@@ -456,8 +461,7 @@ def _quasi(mask: int, formula: HornFormula) -> int:
 
 def quasi_closure(start: Iterable[int], formula: HornFormula) -> frozenset[int]:
     """Closure of `start` with the implications of its own class removed."""
-    mask = _mask_of(start)
-    _check_fits(mask, formula.arity)
+    mask = Assignment.from_vars(start, formula.arity).mask
     return frozenset(_bit_list(_quasi(mask, formula)))
 
 
@@ -514,14 +518,7 @@ def models(formula: HornFormula) -> list[Assignment]:
     n = formula.arity
     if n > MODELS_MAX_ARITY:
         raise ValueError(f"arity {n} above brute-force limit {MODELS_MAX_ARITY}")
-    pairs = formula._masks
-    found = []
-    for mask in range(1 << n):
-        for a, c in pairs:
-            if a & mask == a and c & mask != c:
-                break
-        else:
-            found.append(mask)
+    found = [m for m in range(1 << n) if _is_model(m, formula._masks)]
     found.sort(key=lambda m: _lex_key(m, n))
     return [Assignment(m, n) for m in found]
 

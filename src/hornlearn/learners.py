@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Assignment, HornFormula, satisfies
+from .core import Assignment, HornFormula, _is_model
 from .oracles import QueryStats
 
 __all__ = ["LearnerReport", "ProtocolError", "TraceEvent", "afp", "clh"]
@@ -126,7 +126,7 @@ def clh(teacher) -> LearnerReport:
         x = _seq_fitting(teacher, current)
         if x is None:
             return LearnerReport(current, teacher.stats.copy(), tuple(trace))
-        if not satisfies(x, current):
+        if not _is_model(x.mask, pairs):
             raise ProtocolError(
                 f"positive counterexample {x}: the hypothesis is entailed by the "
                 "target, so every counterexample must satisfy the hypothesis"
@@ -191,7 +191,7 @@ def afp(teacher) -> LearnerReport:
         x = _seq_fitting(teacher, current)
         if x is None:
             return LearnerReport(current, teacher.stats.copy(), tuple(trace))
-        if satisfies(x, current):
+        if _is_model(x.mask, pairs):
             # satisfies the hypothesis, hence falsifies the target: negative
             for i, (y_i, _) in enumerate(pairs):
                 y = x.mask & y_i

@@ -43,6 +43,7 @@ from .core import (
     Assignment,
     EntailmentClause,
     HornFormula,
+    _chain,
     _check_fits,
     _check_length,
     _low_bit,
@@ -108,11 +109,10 @@ def seq_from_eeq_emq(teacher, hypothesis: HornFormula) -> Assignment | None:
     n = hypothesis.arity
     if (clause._mask | 1 << clause.head) >> n:
         raise ProtocolError(f"counterexample clause {clause} does not fit arity {n}")
-    start = Assignment(clause._mask, n)
-    under_hyp = hypothesis.close(start.mask)
+    under_hyp = _chain(clause._mask, hypothesis._masks)
     if under_hyp >> clause.head & 1:
         # entailed by the hypothesis, not the target
-        closed = cq_from_emq(teacher, start)
+        closed = cq_from_emq(teacher, Assignment(clause._mask, n))
         if closed.mask >> clause.head & 1:
             raise ProtocolError(
                 f"counterexample clause {clause} is entailed by the hypothesis "

@@ -488,3 +488,14 @@ def test_one_query_value_per_mask(algo, strategy, seed):
         QUERY_SEQUENCES[algo, strategy, seed]
     )
     assert len(masks) == teacher.stats.cq + teacher.stats.smq
+
+
+@pytest.mark.parametrize("algo", list(LEARNERS))
+@pytest.mark.parametrize("strategy", ["first", "random", "minimal"])
+def test_hypotheses_build_no_closure_memo(algo, strategy):
+    # each hypothesis answers one membership question, the sign of its
+    # counterexample, so a memo per hypothesis would only be filled
+    report = LEARNERS[algo](Teacher(random_formula(GOLDEN_TARGET), strategy, seed=7))
+    assert report.trace
+    for event in report.trace:
+        assert "_closure_cache" not in vars(event.hypothesis)

@@ -32,6 +32,9 @@ from hornlearn import (
     entails,
     format_formula,
     gd_basis,
+    is_left_saturated,
+    is_right_saturated,
+    is_saturated,
     left_saturate,
     models,
     parse_formula,
@@ -347,6 +350,38 @@ class TestGdBasisStages:
     def test_gd_basis_is_the_public_stages_in_order(self, f):
         staged = remove_redundant(left_saturate(right_saturate(f)))
         assert gd_basis(f)._masks == staged._masks
+
+
+@st.composite
+def saturation_candidates(draw):
+    """A formula of arity 0-12, as drawn or in its right-saturated,
+    canonical or saturated form, with one consequent bit flipped when that
+    leaves the consequent nonempty."""
+    f = draw(formulas(max_arity=12, max_size=16))
+    right = right_saturate(f)
+    f = draw(st.sampled_from([f, right, gd_basis(f), left_saturate(right)]))
+    if f._masks and draw(st.booleans()):
+        masks = list(f._masks)
+        i = draw(st.integers(0, len(masks) - 1))
+        a, c = masks[i]
+        c ^= 1 << draw(st.integers(0, f.arity - 1))
+        if c:
+            masks[i] = a, c
+        f = HornFormula._of(f.arity, masks)
+    return f
+
+
+class TestSaturationPredicates:
+    @settings(PROPERTY, max_examples=400)
+    @given(saturation_candidates())
+    @example(HornFormula(0, []))
+    @example(HornFormula(12, []))
+    def test_predicates_meet_their_per_antecedent_definitions(self, f):
+        right = all(c == _chain(a, f._masks) for a, c in f._masks)
+        left = all(_quasi(a, f) == a for a, _ in f._masks)
+        assert is_right_saturated(f) == right
+        assert is_left_saturated(f) == left
+        assert is_saturated(f) == (right and left)
 
 
 BATCH_EXAMPLES = [
