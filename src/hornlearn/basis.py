@@ -6,9 +6,10 @@ own quasi-closure, and saturated when both hold (always with respect to H
 itself).  A definite Horn function has at most one fully saturated basis,
 which also has the minimum number of implications.  `gd_basis` computes it
 by right, then left saturation, then reads redundancy off the quasi-closure
-columns.  The predicates are fixed-point tests: `f` is left-saturated when
-`left_saturate(right_saturate(f))` keeps its antecedents, saturated when
-it gives `f` back.
+columns.  `is_right_saturated` closes each consequent; `is_left_saturated`
+reads the quasi-closures off the columns as `gd_basis` does and compares
+them with the antecedents; `is_saturated` is both, right first, so it stops
+early on input that is not right-saturated.
 
 No stage chains one antecedent at a time.  Both saturations close every
 antecedent at once in one row-parallel fixpoint (`_saturate`) over bit
@@ -225,13 +226,16 @@ def is_right_saturated(formula: HornFormula) -> bool:
 
 def is_left_saturated(formula: HornFormula) -> bool:
     """Each antecedent is its own quasi-closure, which is the same over the
-    formula and over its right saturation."""
-    ants = [a for a, _ in left_saturate(right_saturate(formula))._masks]
-    return ants == [a for a, _ in formula._masks]
+    formula and over its right saturation: the classes are the closures, and
+    the quasi-closures are read off the same columns, as in `gd_basis`."""
+    ants = [a for a, _ in formula._masks]
+    bits, col = _columns(ants, formula.arity)
+    _quasi_columns(bits, col, _rows_by(_closures(formula._masks, bits, col)[0]))
+    return _rows(col, len(ants), range(len(ants))) == ants
 
 
 def is_saturated(formula: HornFormula) -> bool:
-    return left_saturate(right_saturate(formula)) == formula
+    return is_right_saturated(formula) and is_left_saturated(formula)
 
 
 def left_saturate(formula: HornFormula) -> HornFormula:

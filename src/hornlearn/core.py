@@ -84,9 +84,10 @@ def _bit_list(mask: int) -> list[int]:
     """The indices of the set bits, ascending."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 

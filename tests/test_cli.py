@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import importlib
 import random
 import re
 import runpy
@@ -7,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from hornlearn import HornFormula, Implication, clh, format_formula, parse_formula
+from hornlearn import (
+    GenConfig,
+    HornFormula,
+    Implication,
+    clh,
+    format_formula,
+    parse_formula,
+    random_formula,
+)
 from hornlearn.cli import ALGORITHMS, main
 from hornlearn.formats import FormulaParseError
 
@@ -28,6 +38,9 @@ a -> b
 a -> c
 c -> d
 """
+
+ROOT = Path(__file__).parent.parent
+CORPUS = ROOT / "corpus"
 
 
 @pytest.fixture
@@ -494,3 +507,178 @@ class TestLowerBound:
         with pytest.raises(SystemExit) as exit_info:
             runpy.run_module("hornlearn.cli", run_name="__main__")
         assert exit_info.value.code == code
+
+
+# Pinned outputs of whole CLI runs.  Query counts are the paper's complexity
+# measure, so for a fixed seed and strategy they must not move unless a
+# change is about them; a change that moves them by design edits these
+# tables.  A `learn` pin names the algorithm, the target and the extra
+# arguments, as given on the command line.
+
+# name -> path of a formula file that a pinned run reads
+@pytest.fixture(scope="module")
+def formula_files(tmp_path_factory):
+    made = tmp_path_factory.mktemp("formulas")
+    # an n=40 target on which, under random, the teacher keeps hundreds of
+    # gap records across queries with no chaining (775 in clh, 710 in afp,
+    # summed over the queries, on the 38 implications of the basis); under
+    # first it derives 221 and 391 records in all, where a scan would visit
+    # every one of the target's 160 slots
+    (made / "n40.horn").write_text(
+        format_formula(random_formula(GenConfig(40, 160, (1, 4), (1, 2), seed=1)))
+    )
+    (made / "none.horn").write_text("vars:\n")  # no variables
+    files = {name: str(CORPUS / f"{name}.horn") for name in ("gd-example", "bullet-example")}
+    return files | {name: str(made / f"{name}.horn") for name in ("n40", "none")}
+
+
+def _pin_id(algo, target, extra):
+    return "-".join([algo, target, *extra[1::2]])
+
+
+# the last line of `learn`, fixed for each algorithm, target and strategy
+COUNT_PINS = [
+    ("clh", "gd-example", [], "seq=7 cq=17 smq=0 emq=0 eeq=0"),
+    ("afp", "gd-example", [], "seq=9 cq=0 smq=11 emq=0 eeq=0"),
+    ("clh-entail", "gd-example", [], "seq=0 cq=0 smq=0 emq=34 eeq=7"),
+    ("afp-closure", "gd-example", [], "seq=9 cq=11 smq=0 emq=0 eeq=0"),
+    ("clh", "gd-example", ["--strategy", "minimal"], "seq=7 cq=17 smq=0 emq=0 eeq=0"),
+    ("afp", "gd-example", ["--strategy", "minimal"], "seq=9 cq=0 smq=11 emq=0 eeq=0"),
+    ("clh-entail", "gd-example", ["--strategy", "minimal"], "seq=0 cq=0 smq=0 emq=34 eeq=7"),
+    ("afp-closure", "gd-example", ["--strategy", "minimal"], "seq=9 cq=11 smq=0 emq=0 eeq=0"),
+    ("clh", "gd-example", ["--strategy", "random", "--seed", "3"], "seq=9 cq=20 smq=0 emq=0 eeq=0"),
+    ("afp", "gd-example", ["--strategy", "random", "--seed", "3"], "seq=9 cq=0 smq=11 emq=0 eeq=0"),
+    ("clh-entail", "gd-example", ["--strategy", "random", "--seed", "3"], "seq=0 cq=0 smq=0 emq=34 eeq=9"),
+    ("afp-closure", "gd-example", ["--strategy", "random", "--seed", "3"], "seq=9 cq=11 smq=0 emq=0 eeq=0"),
+    ("clh", "n40", ["--strategy", "random", "--seed", "3"], "seq=42 cq=757 smq=0 emq=0 eeq=0"),
+    ("afp", "n40", ["--strategy", "random", "--seed", "3"], "seq=53 cq=0 smq=713 emq=0 eeq=0"),
+    ("clh-entail", "n40", ["--strategy", "random", "--seed", "3"], "seq=0 cq=0 smq=0 emq=1985 eeq=42"),
+    ("afp-closure", "n40", ["--strategy", "random", "--seed", "3"], "seq=53 cq=713 smq=0 emq=0 eeq=0"),
+    # under every strategy clh-entail asks one eeq per seq of clh: 42 each
+    # under random above, 39 each under minimal here
+    ("clh", "n40", ["--strategy", "minimal"], "seq=39 cq=733 smq=0 emq=0 eeq=0"),
+    ("clh-entail", "n40", ["--strategy", "minimal"], "seq=0 cq=0 smq=0 emq=1985 eeq=39"),
+    # minimal picks the same counterexample whichever formula equivalent to
+    # the target its records follow
+    ("afp", "n40", ["--strategy", "minimal"], "seq=51 cq=0 smq=695 emq=0 eeq=0"),
+    ("afp-closure", "n40", ["--strategy", "minimal"], "seq=51 cq=695 smq=0 emq=0 eeq=0"),
+]
+
+# whole traces, not only counts: the sha256 of stdout, then of stderr, of
+# `learn --trace`
+TRACE_PINS = [
+    ("clh", "gd-example", [],
+     "db8d7ed2d893116b1490650f4190a9f64eda46170ba52848669901238619d9e7",
+     "17a0b58913571c16543646e504b984322371262cf7df0ec67343c1383b374520"),
+    ("afp", "gd-example", [],
+     "d6039aaf864a4a456ba95d525596cdf22c31c5a05c6534f2fcae47a7d7234bc9",
+     "51d6b35a6519ffac9694b9b5b764e5bbb1b430391586c2f4e3bfbc268e047535"),
+    ("clh-entail", "gd-example", [],
+     "6eabf256f18888cc68fd58f589dac8ba8ca72aad5cb609d530855c1c9b1d736d",
+     "17a0b58913571c16543646e504b984322371262cf7df0ec67343c1383b374520"),
+    ("afp-closure", "gd-example", [],
+     "e7d4a2537fefe8a6b6a81b40b0bf43e28cda65a2278a509af58f1ca853f51d6c",
+     "51d6b35a6519ffac9694b9b5b764e5bbb1b430391586c2f4e3bfbc268e047535"),
+    ("clh", "n40", ["--strategy", "random", "--seed", "3"],
+     "531f64d7c2e0826a62519c60e8ab6e98c8116a060643d0e010ad9cb608c6b8ae",
+     "7b9d02fef8a0c1379023c0182b121de1ae7885060a8a9d5f506bd9e90d30909e"),
+    ("afp", "n40", ["--strategy", "random", "--seed", "3"],
+     "2c14170cab7111af04b48003568892e2916b6003ee615a8fb90218c5a72c6cee",
+     "d1f6253eddc192ec3a2d13a4d479e22354da349a43d8da59781fb9a1b0215b27"),
+    ("clh-entail", "n40", ["--strategy", "random", "--seed", "3"],
+     "90fad56b8bfd0bb1b2b2d4a7cb391515c724bbcb7d5ac744330cb80d7ee5b13b",
+     "7b9d02fef8a0c1379023c0182b121de1ae7885060a8a9d5f506bd9e90d30909e"),
+    ("afp-closure", "n40", ["--strategy", "random", "--seed", "3"],
+     "4c8d3fcd506a27d492ff8bae1dbc72505f648592b1f9f5c8e99510a029a9d7e9",
+     "d1f6253eddc192ec3a2d13a4d479e22354da349a43d8da59781fb9a1b0215b27"),
+    ("clh", "n40", ["--strategy", "first"],
+     "192d416757ab2032faf10b59b111a3901ae8263fd6c9d710add452044c810539",
+     "594146295869d14b20c04def338f2236a0fc108a473dab84c6fc4a4e61f6f838"),
+    ("afp", "n40", ["--strategy", "first"],
+     "950bad5a072dfeb8c88bde0ef6673197d53dbaaa43b290b90f83f24b3d49f5db",
+     "b2ee3f1e4c65f61a0d250346a58d5aa963b287c5b53373a89fc6d870557bb6bf"),
+    ("clh", "gd-example", ["--strategy", "minimal"],
+     "07505c9ef3d3a569c9081bac910c026d28b2f67c1e1ea33271bedf7027ecc144",
+     "26950c7d8e791ea16ce546f1d972b94ef6607658423e862ad06ffc71648ffbe7"),
+    ("afp", "gd-example", ["--strategy", "minimal"],
+     "ee794a0f114a4e4c598e19276b45c7b894cc3e1ab395a498fadae5843f2f3182",
+     "8ff5166ffb0fae8fa0e3412242cfb6e65f21f14920d8f1f08f7da1aef69e8bae"),
+    ("clh-entail", "gd-example", ["--strategy", "minimal"],
+     "20883ee07255c123785c9dfcf8efe8f6bbd1d040afac30ba6ebe2159c1a0dc87",
+     "26950c7d8e791ea16ce546f1d972b94ef6607658423e862ad06ffc71648ffbe7"),
+    ("afp-closure", "gd-example", ["--strategy", "minimal"],
+     "7c96f3a8cfee5d1331dcdd8854dcdaf2716d1928170a113ab2a2c2fcaaed67ab",
+     "8ff5166ffb0fae8fa0e3412242cfb6e65f21f14920d8f1f08f7da1aef69e8bae"),
+]
+
+# the printed canonical basis, in its order, line by line
+GD_PINS = [
+    ("gd-example", [
+        "vars: a b c d e", "e -> d e", "b c -> b c d", "b d -> b c d", "c d -> b c d",
+        "a d -> a b c d e", "b c d e -> a b c d e",
+    ]),
+    ("bullet-example", ["vars: a b c d", "a -> a b c d", "c -> c d"]),
+    ("none", ["vars:"]),
+]
+
+# the simulated protocols' query counts: the sha256 of every CSV row, `\r`
+# removed, without its wall_time column
+SIMULATED_CSV_ARGS = [
+    "--algos", "clh-entail", "afp-closure", "--n-range", "4:10", "--m-range", "2:8",
+    "--trials", "5", "--seed", "7", "--strategy", "random",
+]
+SIMULATED_CSV_SHA256 = "634c9579ff8fb76a51186c1c14bc3d796278de9b8cef38d5fb527047561fb051"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize(
+        "algo, target, extra, counts",
+        COUNT_PINS,
+        ids=[_pin_id(*pin[:3]) for pin in COUNT_PINS],
+    )
+    def test_learn_query_counts(self, formula_files, algo, target, extra, counts, capsys):
+        argv = ["learn", "--algo", algo, "--target", formula_files[target], *extra]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == counts
+
+    @pytest.mark.parametrize(
+        "algo, target, extra, out_sha, err_sha",
+        TRACE_PINS,
+        ids=[_pin_id(*pin[:3]) for pin in TRACE_PINS],
+    )
+    def test_learn_trace(self, formula_files, algo, target, extra, out_sha, err_sha, capsys):
+        argv = ["learn", "--trace", "--algo", algo, "--target", formula_files[target], *extra]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert (_sha256(out), _sha256(err)) == (out_sha, err_sha)
+
+    @pytest.mark.parametrize("name, lines", GD_PINS, ids=[pin[0] for pin in GD_PINS])
+    def test_gd_output(self, formula_files, name, lines, capsys):
+        assert main(["gd", formula_files[name]]) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+
+    def test_lowerbound_query_count(self, capsys):
+        assert main(["lowerbound", "--n", "6"]) == 0
+        assert capsys.readouterr().out.endswith(" after 62 queries\n")
+
+    def test_simulated_bench_csv(self, tmp_path, capsys):
+        out = tmp_path / "simulated.csv"
+        assert main(["bench", *SIMULATED_CSV_ARGS, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()  # also splits the writer's \r\n
+        text = "".join(",".join(row.split(",")[:9]) + "\n" for row in rows)
+        assert _sha256(text) == SIMULATED_CSV_SHA256
+
+
+def test_console_script_is_the_cli_main():
+    # the installed `hornlearn` command calls this; 3.10 has no tomllib, so
+    # the entry is read as text from the [project.scripts] table
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.partition("\n[project.scripts]\n")[2].partition("\n[")[0]
+    entry = re.fullmatch(r'hornlearn = "(\S+)"', scripts.strip()).group(1)
+    assert entry == "hornlearn.cli:main"
+    module, _, name = entry.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
