@@ -11,18 +11,23 @@ and `Random.sample`, for the bit draws of `random_formula`, and
 `reference_gd_basis` is the canonical basis built with a full transpose of
 every row, a fixpoint on one column per variable and a pairwise
 containment test for redundancy, for the unit classes and the column-based
-redundancy test of `gd_basis`.
+redundancy test of `gd_basis`.  `ScriptedTeacher` is a teacher with no
+target at all, for the tests of what a learner or a simulation does when
+the answers break their protocol.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from hornlearn import (
     Assignment,
     GenConfig,
     HornFormula,
     Implication,
+    QueryStats,
     Teacher,
     gd_basis,
 )
@@ -220,6 +225,46 @@ class FreshScanTeacher(Teacher):
 
     def _counterexample(self, hyp):
         return fresh_gap(self.target, hyp, self.strategy, self._rng)
+
+
+class ScriptedTeacher:
+    """A teacher-shaped double with canned answers: each query kind it is
+    given (`seq`, `cq`, `smq`, `eeq`, `emq`) answers with its own function
+    of the query, and its `stats` count as a teacher's do.  More than `cap`
+    queries in all fail the test, so a run that never gives up fails
+    instead of hanging."""
+
+    def __init__(self, arity=3, cap=20, **answers):
+        self.arity, self.stats = arity, QueryStats()
+        self._cap, self._answers = cap, answers
+
+    def _ask(self, kind, query):
+        setattr(self.stats, kind, getattr(self.stats, kind) + 1)
+        if sum(self.stats.as_dict().values()) > self._cap:
+            pytest.fail(f"more than {self._cap} queries: the run never gave up")
+        return self._answers[kind](query)
+
+    def seq(self, hypothesis):
+        return self._ask("seq", hypothesis)
+
+    def cq(self, y):
+        return self._ask("cq", y)
+
+    def smq(self, x):
+        return self._ask("smq", x)
+
+    def eeq(self, hypothesis):
+        return self._ask("eeq", hypothesis)
+
+    def emq(self, clause):
+        return self._ask("emq", clause)
+
+
+def in_turn(*answers):
+    """An answer function that returns `answers` one per call, then None
+    (YES to an equivalence query)."""
+    rest = iter(answers)
+    return lambda query: next(rest, None)
 
 
 def transpose(vectors: list[int], width: int) -> list[int]:

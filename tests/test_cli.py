@@ -21,16 +21,11 @@ from hornlearn import (
 from hornlearn.cli import ALGORITHMS, main
 from hornlearn.formats import FormulaParseError
 
-GD_TEXT = """\
-# worked six-implication example
-vars: a b c d e
-e -> d
-b c -> d
-b d -> c
-c d -> b
-a d -> b c e
-c e -> a b
-"""
+ROOT = Path(__file__).parent.parent
+CORPUS = ROOT / "corpus"
+GD_FILE = str(CORPUS / "gd-example.horn")
+BULLET_FILE = str(CORPUS / "bullet-example.horn")
+GD_TEXT = Path(GD_FILE).read_text()
 
 BULLET_TEXT = """\
 vars: a b c d
@@ -38,23 +33,6 @@ a -> b
 a -> c
 c -> d
 """
-
-ROOT = Path(__file__).parent.parent
-CORPUS = ROOT / "corpus"
-
-
-@pytest.fixture
-def gd_file(tmp_path):
-    path = tmp_path / "gd.horn"
-    path.write_text(GD_TEXT)
-    return str(path)
-
-
-@pytest.fixture
-def bullet_file(tmp_path):
-    path = tmp_path / "bullet.horn"
-    path.write_text(BULLET_TEXT)
-    return str(path)
 
 
 class TestFormat:
@@ -165,24 +143,19 @@ class TestFormat:
 
 
 class TestCommands:
-    def test_gd(self, bullet_file, capsys):
-        assert main(["gd", bullet_file]) == 0
-        out = capsys.readouterr().out
-        assert out == "vars: a b c d\na -> a b c d\nc -> c d\n"
-
-    def test_closure(self, bullet_file, capsys):
-        assert main(["closure", bullet_file, "a", "c"]) == 0
+    def test_closure(self, capsys):
+        assert main(["closure", BULLET_FILE, "a", "c"]) == 0
         assert capsys.readouterr().out.strip() == "a b c d"
 
-    def test_closure_empty_start(self, bullet_file, capsys):
-        assert main(["closure", bullet_file]) == 0
+    def test_closure_empty_start(self, capsys):
+        assert main(["closure", BULLET_FILE]) == 0
         assert capsys.readouterr().out.strip() == ""
 
-    def test_closure_unknown_token(self, bullet_file, capsys):
-        assert main(["closure", bullet_file, "q"]) == 2
+    def test_closure_unknown_token(self, capsys):
+        assert main(["closure", BULLET_FILE, "q"]) == 2
 
-    def test_equiv_same(self, gd_file, capsys):
-        assert main(["equiv", gd_file, gd_file]) == 0
+    def test_equiv_same(self, capsys):
+        assert main(["equiv", GD_FILE, GD_FILE]) == 0
         assert capsys.readouterr().out.strip() == "equivalent"
 
     def test_equiv_different(self, tmp_path, capsys):
@@ -240,7 +213,7 @@ class TestCommands:
     def test_missing_file(self, capsys):
         assert main(["gd", "/nonexistent/x.horn"]) == 2
 
-    def test_internal_arity_error_is_not_a_usage_error(self, bullet_file, monkeypatch):
+    def test_internal_arity_error_is_not_a_usage_error(self, monkeypatch):
         from hornlearn import ArityError, cli
 
         def broken(formula):
@@ -248,44 +221,24 @@ class TestCommands:
 
         monkeypatch.setattr(cli, "gd_basis", broken)
         with pytest.raises(ArityError):
-            main(["gd", bullet_file])
+            main(["gd", BULLET_FILE])
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["learn", "--algo", "nope", "--target", "x"])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("algo", ["clh", "afp", "clh-entail", "afp-closure"])
-    def test_learn_all_algorithms(self, gd_file, algo, capsys):
-        assert main(["learn", "--algo", algo, "--target", gd_file]) == 0
-        out = capsys.readouterr().out
-        stats_line = out.strip().splitlines()[-1]
-        assert re.fullmatch(
-            r"seq=\d+ cq=\d+ smq=\d+ emq=\d+ eeq=\d+", stats_line
-        )
-
-    def test_learn_clh_query_ceiling(self, gd_file, capsys):
-        assert main(["learn", "--algo", "clh", "--target", gd_file]) == 0
-        out = capsys.readouterr().out
-        seq = int(re.search(r"seq=(\d+)", out).group(1))
-        assert seq <= 5 * 6 + 6 + 1
-
-    def test_learn_output_is_canonical(self, gd_file, capsys):
+    def test_learn_output_is_canonical(self, capsys):
         from hornlearn import gd_basis
 
-        assert main(["learn", "--algo", "clh", "--target", gd_file]) == 0
+        assert main(["learn", "--algo", "clh", "--target", GD_FILE]) == 0
         out = capsys.readouterr().out
         formula_text = "\n".join(out.strip().splitlines()[:-1]) + "\n"
         assert parse_formula(formula_text) == gd_basis(parse_formula(GD_TEXT))
 
-    def test_learn_trace_goes_to_stderr(self, gd_file, capsys):
-        assert main(["learn", "--algo", "clh", "--target", gd_file, "--trace"]) == 0
-        err = capsys.readouterr().err
-        assert "append" in err
-
-    def test_learn_random_strategy(self, gd_file, capsys):
+    def test_learn_random_strategy(self, capsys):
         rc = main(
-            ["learn", "--algo", "clh", "--target", gd_file,
+            ["learn", "--algo", "clh", "--target", GD_FILE,
              "--strategy", "random", "--seed", "11"]
         )
         assert rc == 0
@@ -298,7 +251,7 @@ class TestCommands:
     )
     def test_byte_order_mark_is_skipped(self, tmp_path, command, capsys):
         # some Windows editors start a UTF-8 file with a byte-order mark
-        plain = Path(__file__).parent.parent / "corpus" / "gd-example.horn"
+        plain = Path(GD_FILE)
         marked = tmp_path / "gd-example.horn"
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         runs = []
@@ -315,11 +268,11 @@ def _inequivalent_learner(teacher):
 
 
 class TestSelfCheck:
-    def test_learn_fails_on_inequivalent_output(self, gd_file, monkeypatch, capsys):
+    def test_learn_fails_on_inequivalent_output(self, monkeypatch, capsys):
         from hornlearn import cli
 
         monkeypatch.setitem(cli.LEARNERS, "clh", _inequivalent_learner)
-        assert main(["learn", "--algo", "clh", "--target", gd_file]) == 1
+        assert main(["learn", "--algo", "clh", "--target", GD_FILE]) == 1
         err = capsys.readouterr().err
         assert err == "error: learned formula failed the equivalence self-check\n"
 
@@ -474,12 +427,6 @@ class TestBench:
 
 
 class TestLowerBound:
-    def test_reports_and_exit(self, capsys):
-        assert main(["lowerbound", "--n", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "candidates: 15" in out
-        assert "after 14 queries" in out
-
     @pytest.mark.parametrize("n", [2, 4])
     def test_full_output_pinned(self, n, capsys):
         initial = 2**n - 1
@@ -621,6 +568,14 @@ GD_PINS = [
     ("none", ["vars:"]),
 ]
 
+# the whole stdout of `lowerbound --n 6`: 63 candidates, 62 queries, and
+# a progress line after every third query and after the last
+LOWERBOUND_6 = (
+    "candidates: 63\n"
+    + "".join(f"queries={i} remaining={63 - i}\n" for i in [*range(3, 61, 3), 62])
+    + "determined the closure of the all-zeros assignment after 62 queries\n"
+)
+
 # the simulated protocols' query counts: the sha256 of every CSV row, `\r`
 # removed, without its wall_time column
 SIMULATED_CSV_ARGS = [
@@ -663,7 +618,8 @@ class TestPinnedOutputs:
 
     def test_lowerbound_query_count(self, capsys):
         assert main(["lowerbound", "--n", "6"]) == 0
-        assert capsys.readouterr().out.endswith(" after 62 queries\n")
+        out, err = capsys.readouterr()
+        assert (out, err) == (LOWERBOUND_6, "")
 
     def test_simulated_bench_csv(self, tmp_path, capsys):
         out = tmp_path / "simulated.csv"

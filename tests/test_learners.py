@@ -1,3 +1,4 @@
+import math
 import random
 import zlib
 
@@ -5,7 +6,6 @@ import pytest
 
 from hornlearn import (
     Assignment,
-    ClosureFromEntailment,
     GenConfig,
     HornFormula,
     Implication,
@@ -20,9 +20,17 @@ from hornlearn import (
     random_formula,
     satisfies,
 )
-from hornlearn.oracles import QueryStats
+from hornlearn.cli import LEARNERS
 
-from helpers import asg, brute_equivalent, brute_model_masks, formula, imp
+from helpers import (
+    ScriptedTeacher,
+    asg,
+    brute_equivalent,
+    brute_model_masks,
+    formula,
+    imp,
+    in_turn,
+)
 
 
 def random_target(rng, n_lo=3, n_hi=10, m_hi=8):
@@ -119,69 +127,30 @@ class TestClh:
                     ), f"no witness between {entries[i]} and {entries[j]}"
 
     def test_positive_counterexample_aborts(self):
-        class LyingTeacher:
-            # answers the first equivalence query with an honest negative
-            # counterexample, then repeats it once the hypothesis covers it
-            arity = 2
-
-            def __init__(self):
-                self.stats = QueryStats()
-
-            def seq(self, hypothesis):
-                self.stats.seq += 1
-                return asg("10")
-
-            def cq(self, y):
-                self.stats.cq += 1
-                return Assignment(y.mask | 2, 2)
-
+        # answers the first equivalence query with an honest negative
+        # counterexample, then repeats it once the hypothesis covers it
+        teacher = ScriptedTeacher(
+            2, seq=lambda h: asg("10"), cq=lambda y: Assignment(y.mask | 2, 2)
+        )
         with pytest.raises(ProtocolError, match="positive counterexample"):
-            clh(LyingTeacher())
+            clh(teacher)
 
     def test_counterexample_equal_to_its_closure_aborts(self):
         # an honest negative counterexample lies strictly below its closure;
         # this teacher repeats one closed assignment, which clh would append
         # as the tautology `a -> a` on every round
-        class ClosedCounterexampleTeacher:
-            arity = 2
-
-            def __init__(self):
-                self.stats = QueryStats()
-
-            def seq(self, hypothesis):
-                self.stats.seq += 1
-                assert self.stats.seq <= 20, "clh never gave up"
-                return asg("10")
-
-            def cq(self, y):
-                self.stats.cq += 1
-                return y
-
+        teacher = ScriptedTeacher(2, seq=lambda h: asg("10"), cq=lambda y: y)
         with pytest.raises(ProtocolError, match="closure"):
-            clh(ClosedCounterexampleTeacher())
+            clh(teacher)
 
     def test_refine_closure_not_above_its_query_aborts(self):
-        class BesideClosureTeacher:
-            # `110` is appended honestly; `101` then refines it to `100`,
-            # whose closure query gets `010`, which does not contain `100`;
-            # says YES once out of script
-            arity = 3
-
-            def __init__(self):
-                self.stats = QueryStats()
-
-            def seq(self, hypothesis):
-                self.stats.seq += 1
-                script = ["110", "101"]
-                if self.stats.seq > len(script):
-                    return None
-                return asg(script[self.stats.seq - 1])
-
-            def cq(self, y):
-                self.stats.cq += 1
-                return asg("010") if y == asg("100") else Assignment.full(3)
-
-        teacher = BesideClosureTeacher()
+        # `110` is appended honestly; `101` then refines it to `100`, whose
+        # closure query gets `010`, which does not contain `100`; says YES
+        # once out of script
+        teacher = ScriptedTeacher(
+            seq=in_turn(asg("110"), asg("101")),
+            cq=lambda y: asg("010") if y == asg("100") else Assignment.full(3),
+        )
         with pytest.raises(ProtocolError, match="must lie above its query"):
             clh(teacher)
         assert (teacher.stats.seq, teacher.stats.cq) == (2, 2)
@@ -197,28 +166,14 @@ class TestClh:
         ],
     )
     def test_short_closure_answer_raises_protocol_error(self, counterexamples):
-        class ShortClosureTeacher:
-            # answers the closure of `100` with a two-bit assignment whose
-            # mask would also fit three bits; says YES once out of script
-            arity = 3
-
-            def __init__(self):
-                self.stats = QueryStats()
-
-            def seq(self, hypothesis):
-                self.stats.seq += 1
-                if self.stats.seq > len(counterexamples):
-                    return None
-                return asg(counterexamples[self.stats.seq - 1])
-
-            def cq(self, y):
-                self.stats.cq += 1
-                if y == asg("100"):
-                    return Assignment(0b11, 2)
-                return Assignment.full(3)
-
+        # answers the closure of `100` with a two-bit assignment whose mask
+        # would also fit three bits; says YES once out of script
+        teacher = ScriptedTeacher(
+            seq=in_turn(*map(asg, counterexamples)),
+            cq=lambda y: Assignment(0b11, 2) if y == asg("100") else Assignment.full(3),
+        )
         with pytest.raises(ProtocolError, match="must lie above its query"):
-            clh(ShortClosureTeacher())
+            clh(teacher)
 
 
 class TestAfp:
@@ -269,59 +224,36 @@ class TestAfp:
         ],
     )
     def test_repeated_counterexample_aborts(self, bits, message):
-        class RepeatingTeacher:
-            arity = 2
-
-            def __init__(self):
-                self.stats = QueryStats()
-
-            def seq(self, hypothesis):
-                self.stats.seq += 1
-                assert self.stats.seq <= 20, "afp never gave up"
-                return asg(bits)
-
-            def smq(self, x):
-                self.stats.smq += 1
-                return False
-
+        teacher = ScriptedTeacher(2, seq=lambda h: asg(bits), smq=lambda x: False)
         with pytest.raises(ProtocolError, match=message):
-            afp(RepeatingTeacher())
+            afp(teacher)
 
 
-class AfpRoundBound:
-    """Passes queries through and asserts `afp`'s round bound at every SEQ:
-    the k-th is asked with |N| = len(hypothesis) entries, k <= n(n+1)|N|+1."""
+def round_bounded(inner):
+    """`inner` behind a `ScriptedTeacher` that asserts `afp`'s round bound at
+    every SEQ: the k-th is asked with |N| = len(hypothesis) entries,
+    k <= n(n+1)|N|+1."""
 
-    def __init__(self, inner):
-        self.inner, self.arity, self.stats = inner, inner.arity, inner.stats
-        self.seqs = 0
+    def seq(hypothesis):
+        k, n, entries = teacher.stats.seq, inner.arity, len(hypothesis)
+        assert k <= n * (n + 1) * entries + 1, (k, n, entries)
+        return inner.seq(hypothesis)
 
-    def smq(self, x):
-        return self.inner.smq(x)
-
-    def seq(self, hypothesis):
-        self.seqs += 1
-        n, entries = self.arity, len(hypothesis)
-        assert self.seqs <= n * (n + 1) * entries + 1, (self.seqs, n, entries)
-        return self.inner.seq(hypothesis)
+    teacher = ScriptedTeacher(inner.arity, math.inf, seq=seq, smq=inner.smq)
+    return teacher
 
 
-class CoinFlipTeacher:
-    """Answers with no target behind them.  A tenth of the counterexamples
-    are random assignments; the rest are "negative": a random assignment
-    that satisfies the hypothesis, or YES when 20 draws find none.  A
-    membership answer is a coin flip of the teacher's own bias.  YES once
-    100 SEQs have been asked."""
+def coin_flip_teacher(n, seed):
+    """A `ScriptedTeacher` with no target behind its answers.  A tenth of the
+    counterexamples are random assignments; the rest are "negative": a
+    random assignment that satisfies the hypothesis, or YES when 20 draws
+    find none.  A membership answer is a coin flip of the teacher's own
+    bias.  YES once 100 SEQs have been asked."""
+    rng = random.Random(seed)
+    bias = rng.random()
 
-    def __init__(self, n, seed):
-        self.arity, self.stats = n, QueryStats()
-        self._rng = random.Random(seed)
-        self._bias = self._rng.random()
-
-    def seq(self, hypothesis):
-        self.stats.seq += 1
-        n, rng = self.arity, self._rng
-        if self.stats.seq > 100:
+    def seq(hypothesis):
+        if teacher.stats.seq > 100:
             return None
         if rng.random() < 0.1:
             return Assignment(rng.getrandbits(n), n)
@@ -331,9 +263,8 @@ class CoinFlipTeacher:
                 return x
         return None
 
-    def smq(self, x):
-        self.stats.smq += 1
-        return self._rng.random() < self._bias
+    teacher = ScriptedTeacher(n, math.inf, seq=seq, smq=lambda x: rng.random() < bias)
+    return teacher
 
 
 class TestAfpRoundBound:
@@ -349,16 +280,16 @@ class TestAfpRoundBound:
                     teacher = Teacher(target, strategy=strategy, seed=3)
                     if simulate:
                         teacher = StandardFromClosure(teacher)
-                    report = afp(AfpRoundBound(teacher))
+                    report = afp(round_bounded(teacher))
                     assert equivalent(report.output, target)
 
     def test_lying_teachers(self):
         rng = random.Random(38)
         outcomes = {"yes": 0, "protocol error": 0}
         for seed in range(2000):
-            teacher = CoinFlipTeacher(rng.randint(1, 10), seed)
+            teacher = coin_flip_teacher(rng.randint(1, 10), seed)
             try:
-                afp(AfpRoundBound(teacher))
+                afp(round_bounded(teacher))
                 outcomes["yes"] += 1
             except ProtocolError:
                 outcomes["protocol error"] += 1
@@ -366,45 +297,20 @@ class TestAfpRoundBound:
         assert min(outcomes.values()) > 0, outcomes
 
 
-@pytest.mark.parametrize(
-    "learner",
-    [clh, afp, lambda teacher: afp(StandardFromClosure(teacher))],
-    ids=["clh", "afp", "afp-closure"],
-)
-def test_counterexample_of_the_wrong_length_aborts(learner):
-    class LongCounterexampleTeacher:
-        # a 3-variable teacher whose equivalence answer has 4 bits
-        arity = 3
-
-        def __init__(self):
-            self.stats = QueryStats()
-
-        def seq(self, hypothesis):
-            self.stats.seq += 1
-            return Assignment(0, 4)
-
-        def cq(self, y):
-            self.stats.cq += 1
-            return Assignment.full(3)
-
-        def smq(self, x):
-            self.stats.smq += 1
-            return False
-
-    teacher = LongCounterexampleTeacher()
+@pytest.mark.parametrize("algo", ["clh", "afp", "afp-closure"])
+def test_counterexample_of_the_wrong_length_aborts(algo):
+    # a 3-variable teacher whose equivalence answer has 4 bits
+    teacher = ScriptedTeacher(
+        seq=lambda h: Assignment(0, 4),
+        cq=lambda y: Assignment.full(3),
+        smq=lambda x: False,
+    )
     with pytest.raises(ProtocolError, match="of length 4; .* must have length 3"):
-        learner(teacher)
+        LEARNERS[algo](teacher)
     assert teacher.stats.as_dict() == {"seq": 1, "cq": 0, "smq": 0, "emq": 0, "eeq": 0}
 
 
 GOLDEN_TARGET = GenConfig(12, 24, (1, 3), (1, 2), seed=2)
-
-LEARNERS = {
-    "clh": clh,
-    "afp": afp,
-    "clh-entail": lambda teacher: clh(ClosureFromEntailment(teacher)),
-    "afp-closure": lambda teacher: afp(StandardFromClosure(teacher)),
-}
 
 # (algorithm, strategy, seed) -> (nonzero query counts, |output|, CRC-32 of
 # the counterexample sequence); a "first" teacher ignores its seed
@@ -439,26 +345,6 @@ def test_golden_counterexample_sequence(algo, strategy, seed):
     )
 
 
-class QueryRecorder:
-    """Forwards everything to `teacher`, keeping each `cq` and `smq` query
-    object in order; holding them keeps their ids distinct."""
-
-    def __init__(self, teacher):
-        self._teacher = teacher
-        self.queries = []
-
-    def __getattr__(self, name):
-        return getattr(self._teacher, name)
-
-    def cq(self, y):
-        self.queries.append(y)
-        return self._teacher.cq(y)
-
-    def smq(self, x):
-        self.queries.append(x)
-        return self._teacher.smq(x)
-
-
 # (algorithm, strategy, seed) -> (queries asked, distinct masks, CRC-32 of
 # the mask sequence), for cq under clh and smq under afp
 QUERY_SEQUENCES = {
@@ -476,11 +362,20 @@ def test_one_query_value_per_mask(algo, strategy, seed):
     # a repeated query is the value the run first asked its mask with;
     # every query is still asked, in the same order
     teacher = Teacher(random_formula(GOLDEN_TARGET), strategy=strategy, seed=seed)
-    recorder = QueryRecorder(teacher)
-    LEARNERS[algo](recorder)
-    masks = [q.mask for q in recorder.queries]
+    queries = []  # each cq and smq query object; holding them keeps ids distinct
+
+    def recorded(ask):
+        return lambda query: queries.append(query) or ask(query)
+
+    LEARNERS[algo](
+        ScriptedTeacher(
+            teacher.arity, math.inf, seq=teacher.seq,
+            cq=recorded(teacher.cq), smq=recorded(teacher.smq),
+        )
+    )
+    masks = [q.mask for q in queries]
     ids = {}
-    for q in recorder.queries:
+    for q in queries:
         ids.setdefault(q.mask, set()).add(id(q))
     assert all(len(objects) == 1 for objects in ids.values())
     sequence = " ".join(map(str, masks)).encode()

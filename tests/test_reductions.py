@@ -42,7 +42,7 @@ from hornlearn import (
 
 from hornlearn.reductions import _LEARNED
 
-from helpers import asg, formula, vs
+from helpers import ScriptedTeacher, asg, formula, vs
 
 
 def random_target(rng, n):
@@ -615,34 +615,6 @@ class TestAdapters:
         adapter = ClosureFromEntailment(inner)
         assert adapter.stats is inner.stats
         assert adapter.arity == 5
-
-
-class ScriptedTeacher:
-    """A 3-variable inner teacher with canned answers, capped at 20 queries
-    so that a simulation which never gives up fails instead of hanging."""
-
-    arity = 3
-
-    def __init__(self, seq=None, cq=None, eeq=None, emq=None):
-        self.stats = QueryStats()
-        self._answers = {"seq": seq, "cq": cq, "eeq": eeq, "emq": emq}
-
-    def _answer(self, op, query):
-        setattr(self.stats, op, getattr(self.stats, op) + 1)
-        assert sum(self.stats.as_dict().values()) <= 20, "the simulation never gave up"
-        return self._answers[op](query)
-
-    def seq(self, hypothesis):
-        return self._answer("seq", hypothesis)
-
-    def cq(self, y):
-        return self._answer("cq", y)
-
-    def eeq(self, hypothesis):
-        return self._answer("eeq", hypothesis)
-
-    def emq(self, clause):
-        return self._answer("emq", clause)
 
 
 class TestDishonestInnerTeacher:
